@@ -997,6 +997,29 @@ Result<Message> WireDecoder::Admit(Message msg) {
 
 // ---------------------------------------------------------------------------
 
+WireCodecStats& operator+=(WireCodecStats& a, const WireCodecStats& b) {
+  a.encoded_messages += b.encoded_messages;
+  a.delta_rows += b.delta_rows;
+  a.columnar_rows += b.columnar_rows;
+  a.opaque_rows += b.opaque_rows;
+  a.compressed_blocks += b.compressed_blocks;
+  a.memo_hits += b.memo_hits;
+  a.bytes_in += b.bytes_in;
+  a.bytes_out += b.bytes_out;
+  a.stream_resets += b.stream_resets;
+  return a;
+}
+
+uint64_t WireCaps(bool encoding, bool compression) {
+  return (encoding ? kWireCapEncoding : 0) |
+         (compression ? kWireCapCompression : 0);
+}
+
+uint64_t NegotiateWireCaps(uint64_t offered, uint64_t accepted) {
+  const uint64_t caps = offered & accepted;
+  return (caps & kWireCapEncoding) != 0 ? caps : 0;
+}
+
 Result<uint64_t> EncodedEntryCount(const Message& msg) {
   if (msg.type != MessageType::kEncoded) {
     return Status::InvalidArgument("not an ENCODED message");

@@ -80,6 +80,14 @@ namespace snapdiff {
 constexpr uint64_t kWireCapEncoding = 1;
 constexpr uint64_t kWireCapCompression = 2;
 
+/// The capability bits a peer with these switches offers (client) or
+/// enables (server).
+uint64_t WireCaps(bool encoding, bool compression);
+/// What both ends run with: the bits offered AND accepted. Compression
+/// applies only to encoded bodies, so without the encoding bit it grants
+/// nothing.
+uint64_t NegotiateWireCaps(uint64_t offered, uint64_t accepted);
+
 struct WireCodecOptions {
   /// LZ-compress encoded bodies that shrink (negotiated; decode always
   /// accepts compressed bodies regardless).
@@ -101,6 +109,8 @@ struct WireCodecStats {
   uint64_t bytes_out = 0;        // encoded payload bytes produced
   uint64_t stream_resets = 0;    // generation mismatches healed
 };
+
+WireCodecStats& operator+=(WireCodecStats& a, const WireCodecStats& b);
 
 namespace wire_internal {
 

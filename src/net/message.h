@@ -62,7 +62,7 @@ enum class MessageType : uint8_t {
   /// client → server: the session's END_OF_REFRESH applied durably.
   /// `session_id` names the session, `seq` the applied prefix. The server
   /// commits the refresh outcome (staged ideal shadow / log position) and
-  /// releases the session's base-table lock.
+  /// releases the session's scan epoch.
   kSessionAck = 11,
   /// server → client: a demand failed at the base site; `payload` carries
   /// the error text. The connection stays usable.
@@ -92,7 +92,7 @@ struct Message {
   /// a resumable refresh session and `seq` is its 1-based position in the
   /// session's stream; the snapshot-site applier admits session messages
   /// strictly in seq order, dropping duplicates and holding early arrivals
-  /// (see SnapshotSystem::DeliverPending).
+  /// (see SessionApplier).
   uint64_t session_id = 0;
   uint64_t seq = 0;
   std::string payload;

@@ -35,7 +35,9 @@ Status RefreshServer::Start() {
                    wire::Listen(options_.listen_addr, options_.backlog));
   ASSIGN_OR_RETURN(bound_addr_, wire::BoundAddr(listen_fd_));
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&RefreshServer::AcceptLoop, this);
+  // The loop gets its own copy of the fd: Stop() resets the member while
+  // the loop may still be inside accept().
+  accept_thread_ = std::thread(&RefreshServer::AcceptLoop, this, listen_fd_);
   return Status::OK();
 }
 
@@ -103,11 +105,11 @@ void RefreshServer::ArmNextConnection(const FaultPlan& plan) {
   next_conn_plan_armed_ = true;
 }
 
-void RefreshServer::AcceptLoop() {
+void RefreshServer::AcceptLoop(int listen_fd) {
   obs::Counter* accepted_ctr = ServerCounter("net.server.connections");
   obs::Counter* rejected_ctr = ServerCounter("net.server.rejected");
   while (running_.load(std::memory_order_acquire)) {
-    Result<int> accepted = wire::Accept(listen_fd_);
+    Result<int> accepted = wire::Accept(listen_fd);
     if (!accepted.ok()) {
       if (!running_.load(std::memory_order_acquire)) break;
       std::this_thread::yield();  // transient accept failure (EMFILE, ...)
@@ -192,14 +194,9 @@ bool RefreshServer::Dispatch(Connection* conn, const Message& msg) {
       // otherwise-unused session_id, the acceptance (bitwise AND with what
       // this server enables) rides back on HELLO_ACK. Old peers offer 0
       // and keep the canonical protocol.
-      const uint64_t offered = msg.session_id;
-      uint64_t server_caps = 0;
-      if (options_.wire_encoding) server_caps |= kWireCapEncoding;
-      if (options_.wire_compression) server_caps |= kWireCapCompression;
-      conn->wire_caps = offered & server_caps;
-      // Compression is a property of encoded bodies; without the encoding
-      // bit it grants nothing, so the negotiated caps say so.
-      if (!(conn->wire_caps & kWireCapEncoding)) conn->wire_caps = 0;
+      conn->wire_caps = NegotiateWireCaps(
+          msg.session_id,
+          WireCaps(options_.wire_encoding, options_.wire_compression));
       if (conn->wire_caps & kWireCapEncoding) {
         WireCodecOptions codec;
         codec.compression = (conn->wire_caps & kWireCapCompression) != 0;
@@ -222,20 +219,9 @@ bool RefreshServer::Dispatch(Connection* conn, const Message& msg) {
     case MessageType::kResumeRefresh: {
       SNAPDIFF_FR_SCOPED_SPAN(
           span, obs::FlightRecorder::InternName("net.server.serve"));
-      SnapshotSystem::ServeRequest request;
-      request.snapshot_id = msg.snapshot_id;
-      request.client_snap_time = msg.timestamp;
-      if (msg.type == MessageType::kResumeRefresh) {
-        request.resume_session_id = msg.session_id;
-        request.resume_after_seq = msg.seq;
-      }
-      request.encoder = conn->encoder.get();
-      // A codec-speaking client reports its committed generation in the
-      // demand's otherwise-unused base_addr (Null = legacy demand).
-      request.client_codec_gen =
-          msg.base_addr.IsNull() ? 0 : msg.base_addr.raw();
-      Result<SnapshotSystem::ServeOutcome> outcome =
-          system_->ServeRefresh(request, conn->transport.get());
+      Result<SnapshotSystem::ServeOutcome> outcome = system_->ServeRefresh(
+          SnapshotSystem::ServeRequest::FromDemand(msg, conn->encoder.get()),
+          conn->transport.get());
       if (outcome.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.sessions_served;

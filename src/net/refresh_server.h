@@ -126,7 +126,7 @@ class RefreshServer {
     bool done = false;
   };
 
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void HandleConnection(Connection* conn);
   /// Dispatches one inbound message; returns false when the connection
   /// should close (transport dead).

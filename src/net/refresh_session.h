@@ -18,7 +18,7 @@ namespace snapdiff {
 /// message still consumes a sequence number, but messages with
 /// seq <= resume_after_seq are neither metered nor delivered — only the
 /// unapplied suffix touches the wire. Correctness rests on the executors
-/// being deterministic under the refresh's table lock: a re-run emits the
+/// being deterministic over the session's scan epoch: a re-run emits the
 /// byte-identical stream, so seq k names the same message in every attempt.
 ///
 /// Executors that know the next message will be suppressed may skip

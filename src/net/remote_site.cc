@@ -33,9 +33,8 @@ Result<std::unique_ptr<RemoteSnapshotSite>> RemoteSnapshotSite::Connect(
   // Offer wire-codec capabilities in HELLO's otherwise-unused session_id;
   // the HELLO_ACK echoes what the server accepted. A legacy server leaves
   // the field 0 and both ends keep the canonical protocol.
-  uint64_t offer = 0;
-  if (options.wire_encoding) offer |= kWireCapEncoding;
-  if (options.wire_compression) offer |= kWireCapCompression;
+  const uint64_t offer =
+      WireCaps(options.wire_encoding, options.wire_compression);
   Message hello = MakeHello(snapshot_name);
   hello.session_id = offer;
   RETURN_IF_ERROR(wire::WriteMessage(site->fd_, hello));
@@ -59,10 +58,7 @@ Result<std::unique_ptr<RemoteSnapshotSite>> RemoteSnapshotSite::Connect(
       site->table_,
       SnapshotTable::Create(site->catalog_.get(), snapshot_name,
                             std::move(value_schema), site->oracle_.get()));
-  site->wire_caps_ = reply.session_id & offer;
-  // Compression without encoding grants nothing (it only applies to
-  // encoded bodies); normalize so wire_caps() reports what is in effect.
-  if (!(site->wire_caps_ & kWireCapEncoding)) site->wire_caps_ = 0;
+  site->wire_caps_ = NegotiateWireCaps(offer, reply.session_id);
   if (site->wire_caps_ & kWireCapEncoding) {
     // The resolver hands the decoder this replica's value schema; the
     // site outlives the decoder, so the raw capture is safe.
@@ -71,8 +67,16 @@ Result<std::unique_ptr<RemoteSnapshotSite>> RemoteSnapshotSite::Connect(
           if (id != s->snapshot_id_ || s->table_ == nullptr) return nullptr;
           return &s->table_->value_schema();
         });
+    site->applier_ = SessionApplier(site->decoder_.get());
   }
   return site;
+}
+
+Status RemoteSnapshotSite::SendDemand() {
+  const Message demand = applier_.Demand(snapshot_id_, table_->snap_time());
+  pending_resume_target_ =
+      demand.type == MessageType::kResumeRefresh ? demand.session_id : 0;
+  return wire::WriteMessage(fd_, demand);
 }
 
 Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
@@ -87,26 +91,11 @@ Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
     Result<int> connected = wire::Connect(addr_);
     if (!connected.ok()) continue;
     fd_ = *connected;
-    Message demand;
-    if (session_id_ != 0) {
-      demand = MakeResumeRefresh(snapshot_id_, session_id_,
-                                 last_applied_seq_);
-      // If the server no longer has the session it falls back to a fresh
-      // serve; carry our SnapTime so that serve is a correct differential
-      // demand, not an initial copy.
-      demand.timestamp = table_->snap_time();
-      pending_resume_target_ = session_id_;
-    } else {
-      demand = MakeRefreshRequest(snapshot_id_, table_->snap_time(), "");
-    }
-    if (decoder_ != nullptr) {
-      // Report the decoder's committed generation (demand's unused
-      // base_addr) so the server's fresh per-connection encoder realigns
-      // with our shadow before it streams.
-      demand.base_addr =
-          Address::FromRaw(decoder_->generation(snapshot_id_));
-    }
-    if (wire::WriteMessage(fd_, demand).ok()) {
+    // RESUME when a session is in flight. If the server no longer has it
+    // the demand's SnapTime makes the fallback serve a correct
+    // differential, and its codec generation realigns the server's fresh
+    // per-connection encoder with our decoder's shadow.
+    if (SendDemand().ok()) {
       ++report->reconnects;
       return Status::OK();
     }
@@ -114,55 +103,23 @@ Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
   return Status::Unavailable("reconnect attempts exhausted to " + addr_);
 }
 
-Status RemoteSnapshotSite::Admit(const Message& msg,
-                                 RemoteRefreshReport* report) {
-  // Admission is exactly-once and in seq order (the caller's duplicate/
-  // reorder screen), which is precisely the discipline the wire decoder's
-  // row shadow requires — so decoding happens here, not at the transport.
-  Message decoded;
-  const Message* canonical = &msg;
-  if (decoder_ != nullptr) {
-    ASSIGN_OR_RETURN(decoded, decoder_->Admit(msg));
-    canonical = &decoded;
-  }
-  if (options_.record_stream) {
-    std::string bytes;
-    canonical->SerializeTo(&bytes);
-    recorded_.push_back(std::move(bytes));
-  }
-  RETURN_IF_ERROR(table_->ApplyMessage(*canonical, &report->stats));
-  ++report->messages_applied;
-  return Status::OK();
-}
-
 Result<RemoteRefreshReport> RemoteSnapshotSite::Refresh() {
   RemoteRefreshReport report;
-  pending_resume_target_ = 0;
-  if (fd_ < 0) {
-    // Dropped connection (crash simulation / earlier failure): reconnect
-    // sends the right demand — RESUME when a session is in flight.
-    RETURN_IF_ERROR(Reconnect(&report));
-  } else {
-    Message demand;
-    if (session_id_ != 0) {
-      demand = MakeResumeRefresh(snapshot_id_, session_id_,
-                                 last_applied_seq_);
-      demand.timestamp = table_->snap_time();
-      pending_resume_target_ = session_id_;
-    } else {
-      demand = MakeRefreshRequest(snapshot_id_, table_->snap_time(), "");
+  const SessionApplier::Counters before = applier_.counters();
+  const SessionApplier::ApplyFn apply = [&](const Message& msg,
+                                            const Message&) -> Status {
+    if (options_.record_stream) {
+      std::string bytes;
+      msg.SerializeTo(&bytes);
+      recorded_.push_back(std::move(bytes));
     }
-    if (decoder_ != nullptr) {
-      demand.base_addr =
-          Address::FromRaw(decoder_->generation(snapshot_id_));
-    }
-    if (!wire::WriteMessage(fd_, demand).ok()) {
-      RETURN_IF_ERROR(Reconnect(&report));
-    }
-  }
+    return table_->ApplyMessage(msg, &report.stats);
+  };
+  // A dropped connection (crash simulation / earlier failure) reconnects,
+  // which sends the demand itself.
+  if (fd_ < 0 || !SendDemand().ok()) RETURN_IF_ERROR(Reconnect(&report));
 
-  bool ended = false;
-  while (!ended) {
+  for (;;) {
     Result<Message> arrived = wire::ReadMessage(fd_);
     if (!arrived.ok()) {
       RETURN_IF_ERROR(Reconnect(&report));
@@ -179,57 +136,30 @@ Result<RemoteRefreshReport> RemoteSnapshotSite::Refresh() {
         msg.type == MessageType::kResumeRefresh) {
       continue;  // not part of a refresh stream; ignore
     }
-    if (msg.session_id == 0) {
-      // Sessionless stream (join serves): apply on arrival, no resume
-      // protection, no ack.
-      RETURN_IF_ERROR(Admit(msg, &report));
-      ended = msg.type == MessageType::kEndOfRefresh;
-      continue;
-    }
-    if (pending_resume_target_ != 0) {
+    if (pending_resume_target_ != 0 && msg.session_id != 0) {
       if (msg.session_id == pending_resume_target_) ++report.resumes;
       pending_resume_target_ = 0;
     }
-    if (msg.session_id != session_id_) {
-      // A fresh session superseded ours (server fell back instead of
-      // resuming, or a stale session's stragglers). Adopt the stream's
-      // identity and restart the applied-prefix accounting.
-      session_id_ = msg.session_id;
-      last_applied_seq_ = 0;
-      held_.clear();
-    }
-    if (msg.seq <= last_applied_seq_) {
-      ++report.duplicates_dropped;
-      continue;
-    }
-    if (msg.seq > last_applied_seq_ + 1) {
-      held_.emplace(msg.seq, msg);
-      ++report.held_for_reorder;
-      continue;
-    }
-    RETURN_IF_ERROR(Admit(msg, &report));
-    last_applied_seq_ = msg.seq;
-    ended = msg.type == MessageType::kEndOfRefresh;
-    while (!held_.empty() &&
-           held_.begin()->first == last_applied_seq_ + 1) {
-      const Message& next = held_.begin()->second;
-      RETURN_IF_ERROR(Admit(next, &report));
-      last_applied_seq_ = next.seq;
-      ended = ended || next.type == MessageType::kEndOfRefresh;
-      held_.erase(held_.begin());
-    }
+    RETURN_IF_ERROR(applier_.Admit(msg, apply));
+    if (applier_.Complete(snapshot_id_, msg.session_id)) break;
   }
 
-  if (session_id_ != 0) {
-    report.session_id = session_id_;
+  const uint64_t session_id = applier_.session(snapshot_id_);
+  if (session_id != 0) {
+    report.session_id = session_id;
     // Best effort: if the ack is lost the session lingers at the base
-    // until the next serve for this snapshot supersedes it.
+    // until the next serve for this snapshot supersedes it. Sessionless
+    // (join) streams have nothing to acknowledge.
     (void)wire::WriteMessage(
-        fd_, MakeSessionAck(snapshot_id_, session_id_, last_applied_seq_));
-    session_id_ = 0;
-    last_applied_seq_ = 0;
-    held_.clear();
+        fd_, MakeSessionAck(snapshot_id_, session_id,
+                            applier_.last_applied(snapshot_id_)));
   }
+  applier_.Retire(snapshot_id_);
+  const SessionApplier::Counters& after = applier_.counters();
+  report.messages_applied = after.applied - before.applied;
+  report.duplicates_dropped =
+      after.duplicates_dropped - before.duplicates_dropped;
+  report.held_for_reorder = after.held_for_reorder - before.held_for_reorder;
   return report;
 }
 

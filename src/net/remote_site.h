@@ -2,7 +2,6 @@
 #define SNAPDIFF_NET_REMOTE_SITE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "net/encoding.h"
 #include "net/message.h"
 #include "snapshot/refresh_types.h"
+#include "snapshot/session_applier.h"
 #include "snapshot/snapshot_table.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -60,7 +60,7 @@ struct RemoteRefreshReport {
 /// apply, SESSION_ACK, and RESUME over reconnect when the connection dies
 /// mid-stream.
 ///
-/// Admission control mirrors SnapshotSystem::DeliverPending: messages of
+/// Admission is the SessionApplier every snapshot site shares: messages of
 /// the current session apply strictly in seq order — duplicates (seq
 /// already applied) drop, early arrivals park until the gap fills. A
 /// stream arriving under a *different* session id supersedes the current
@@ -111,9 +111,10 @@ class RemoteSnapshotSite {
   RemoteSnapshotSite(std::string addr, std::string snapshot_name,
                      RemoteSiteOptions options);
 
+  /// Sends the applier's demand for the replica: RESUME of the session in
+  /// flight, else a fresh REFRESH_REQUEST.
+  Status SendDemand();
   Status Reconnect(RemoteRefreshReport* report);
-  /// Applies one admitted stream message to the replica and records it.
-  Status Admit(const Message& msg, RemoteRefreshReport* report);
 
   std::string addr_;
   std::string snapshot_name_;
@@ -121,9 +122,10 @@ class RemoteSnapshotSite {
   int fd_ = -1;
   SnapshotId snapshot_id_ = 0;
   uint64_t wire_caps_ = 0;
-  /// Present when the server accepted kWireCapEncoding; every arriving
-  /// stream message is admitted through it before apply.
+  /// Present when the server accepted kWireCapEncoding; the applier
+  /// decodes every admitted stream message through it.
   std::unique_ptr<WireDecoder> decoder_;
+  SessionApplier applier_;
 
   // Local replica plumbing (construction order matters).
   std::unique_ptr<MemoryDiskManager> disk_;
@@ -132,13 +134,9 @@ class RemoteSnapshotSite {
   std::unique_ptr<TimestampOracle> oracle_;
   std::unique_ptr<SnapshotTable> table_;
 
-  // Current-session admission state.
-  uint64_t session_id_ = 0;
-  uint64_t last_applied_seq_ = 0;
   /// Set after a RESUME demand: the session id we asked to resume. The
   /// first stream message tells us whether the server honored it.
   uint64_t pending_resume_target_ = 0;
-  std::map<uint64_t, Message> held_;  // early arrivals, by seq
 
   std::vector<std::string> recorded_;
 };

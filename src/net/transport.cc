@@ -163,6 +163,33 @@ uint64_t TransportMeter::NextDisplacement(size_t queue_size) {
   return 0;
 }
 
+MessageClass ClassifyMessage(const Message& msg, uint64_t* batched) {
+  *batched = 0;
+  MessageType type = msg.type;
+  if (type == MessageType::kEncoded) {
+    // Classify by the wrapped type so encoded streams keep the same
+    // entry/delete accounting as canonical ones.
+    auto inner = EncodedInnerType(msg);
+    type = inner.ok() ? *inner : MessageType::kEntry;
+  }
+  switch (type) {
+    case MessageType::kEntry:
+    case MessageType::kUpsert:
+      return MessageClass::kEntry;
+    case MessageType::kEntryBatch: {
+      auto count = msg.type == MessageType::kEncoded ? EncodedEntryCount(msg)
+                                                      : EntryBatchCount(msg);
+      *batched = count.ok() ? *count : 0;
+      return MessageClass::kEntry;
+    }
+    case MessageType::kDelete:
+    case MessageType::kDeleteRange:
+      return MessageClass::kDelete;
+    default:
+      return MessageClass::kControl;
+  }
+}
+
 TransportMeter::SendVerdict TransportMeter::OnSend(const Message& msg,
                                                    const std::string& bytes) {
   SendVerdict verdict;
@@ -183,50 +210,21 @@ TransportMeter::SendVerdict TransportMeter::OnSend(const Message& msg,
 
   ++stats_.messages;
   metrics_.messages->Inc();
-  switch (msg.type) {
-    case MessageType::kEntry:
-    case MessageType::kUpsert:
+  uint64_t batched = 0;
+  switch (ClassifyMessage(msg, &batched)) {
+    case MessageClass::kEntry:
       ++stats_.entry_messages;
       metrics_.entry_messages->Inc();
+      if (batched > 0) {
+        stats_.batched_entries += batched;
+        metrics_.batched_entries->Inc(batched);
+      }
       break;
-    case MessageType::kEntryBatch: {
-      ++stats_.entry_messages;
-      metrics_.entry_messages->Inc();
-      auto count = EntryBatchCount(msg);
-      const uint64_t n = count.ok() ? *count : 0;
-      stats_.batched_entries += n;
-      metrics_.batched_entries->Inc(n);
-      break;
-    }
-    case MessageType::kDelete:
-    case MessageType::kDeleteRange:
+    case MessageClass::kDelete:
       ++stats_.delete_messages;
       metrics_.delete_messages->Inc();
       break;
-    case MessageType::kEncoded: {
-      // Classify by the wrapped type so encoded streams keep the same
-      // entry/delete accounting as canonical ones.
-      auto inner = EncodedInnerType(msg);
-      if (inner.ok() && (*inner == MessageType::kDelete ||
-                         *inner == MessageType::kDeleteRange)) {
-        ++stats_.delete_messages;
-        metrics_.delete_messages->Inc();
-      } else if (inner.ok() && *inner == MessageType::kClear) {
-        ++stats_.control_messages;
-        metrics_.control_messages->Inc();
-      } else {
-        ++stats_.entry_messages;
-        metrics_.entry_messages->Inc();
-        if (inner.ok() && *inner == MessageType::kEntryBatch) {
-          auto count = EncodedEntryCount(msg);
-          const uint64_t n = count.ok() ? *count : 0;
-          stats_.batched_entries += n;
-          metrics_.batched_entries->Inc(n);
-        }
-      }
-      break;
-    }
-    default:
+    case MessageClass::kControl:
       ++stats_.control_messages;
       metrics_.control_messages->Inc();
       break;

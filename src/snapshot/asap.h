@@ -56,13 +56,6 @@ class AsapPropagator : public TableObserver {
     return FlushBuffered();
   }
 
-  /// Drops buffered changes (used when a full copy subsumes them).
-  void DiscardBuffered() {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffer_.clear();
-    metric_buffer_depth_->Set(0);
-  }
-
   size_t buffered() const {
     std::lock_guard<std::mutex> lock(mu_);
     return buffer_.size();

@@ -22,7 +22,8 @@ namespace snapdiff {
 ///   * the scan closes with END_OF_REFRESH(LastQual, new SnapTime), which
 ///     also covers deletions at the end of the table.
 ///
-/// The caller must hold the table lock (exclusive: the fix-up writes).
+/// The caller must have admitted the refresh for the table (no other
+/// refresh of it may run: the fix-up writes).
 /// Works for both kLazy (fix-up active) and kEager (fix-up finds nothing to
 /// repair) annotation modes; fails for kNone.
 ///

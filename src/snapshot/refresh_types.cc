@@ -1,5 +1,7 @@
 #include "snapshot/refresh_types.h"
 
+#include <algorithm>
+
 namespace snapdiff {
 
 std::string_view RefreshMethodToString(RefreshMethod method) {
@@ -16,6 +18,14 @@ std::string_view RefreshMethodToString(RefreshMethod method) {
       return "asap";
   }
   return "unknown";
+}
+
+uint64_t RetryPolicy::BackoffTicks(uint64_t k) const {
+  uint64_t backoff = initial_backoff_ticks;
+  for (uint64_t step = 1; step < k && backoff < max_backoff_ticks; ++step) {
+    backoff *= 2;
+  }
+  return std::min(backoff, max_backoff_ticks);
 }
 
 std::string RefreshStats::ToString() const {

@@ -85,6 +85,9 @@ struct RetryPolicy {
   /// Resume from the applied prefix (true) or retransmit from scratch
   /// (false; ablation + methods without deterministic streams).
   bool resume = true;
+
+  /// The backoff before retry `k` (1-based).
+  uint64_t BackoffTicks(uint64_t k) const;
 };
 
 /// How a snapshot's contents are brought up to date.
@@ -92,7 +95,7 @@ enum class RefreshMethod {
   /// Re-transmit every qualified entry; snapshot is cleared first.
   kFull,
   /// The paper's contribution: annotation-driven differential refresh
-  /// (single combined fix-up + transmit scan under a table lock).
+  /// (single combined fix-up + transmit scan over a scan epoch).
   kDifferential,
   /// Oracle baseline: transmit exactly the net changes (old/new values kept
   /// by a measurement-only shadow on the base site).
@@ -139,8 +142,8 @@ struct SnapshotDescriptor {
   /// committing it themselves: with lossy delivery an executor can finish
   /// sending while the END message never arrives, and committing then would
   /// make the retry's re-run emit a *different* (empty) stream, breaking
-  /// resume-by-sequence-number. SnapshotSystem::Refresh commits the staged
-  /// values once the snapshot site confirms the END applied.
+  /// resume-by-sequence-number. SnapshotSystem::AcknowledgeServe commits
+  /// the staged values once the snapshot site confirms the END applied.
   std::optional<std::map<Address, std::string>> pending_ideal_shadow;
   std::optional<Lsn> pending_refresh_lsn;
 };
@@ -181,12 +184,10 @@ struct RefreshStats {
 
 /// Everything one refresh call needs, bundled: the snapshot, an optional
 /// per-call method override, execution-knob overrides, the retry policy,
-/// and an optional fault to inject on the site link (chaos testing). This
-/// is THE refresh entry point; Refresh(name) survives as a deprecated
-/// wrapper equivalent to RefreshRequest{name}.
+/// and an optional fault to inject on the site link (chaos testing): the
+/// argument of SnapshotSystem::Refresh.
 struct RefreshRequest {
-  /// The defaults-only request — what the deprecated string overload
-  /// forwards to.
+  /// The defaults-only request.
   static RefreshRequest For(std::string snapshot) {
     RefreshRequest r;
     r.snapshot = std::move(snapshot);

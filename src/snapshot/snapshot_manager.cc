@@ -1,8 +1,10 @@
 #include "snapshot/snapshot_manager.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "catalog/catalog_persistence.h"
+#include "common/cleanup.h"
 #include "common/logging.h"
 #include "obs/log.h"
 #include "expr/parser.h"
@@ -42,14 +44,18 @@ ChannelOptions WithMetricsPrefix(ChannelOptions options, const char* prefix) {
   return options;
 }
 
-/// Ends the trace on every exit path (error returns included) without
-/// clobbering an explicit End() on the success path.
-struct TraceEndGuard {
-  obs::Tracer* tracer;
-  ~TraceEndGuard() {
-    if (tracer->active()) tracer->End();
+/// Every projected column must exist in `schema`, and none twice.
+Status CheckProjection(const Schema& schema,
+                       const std::vector<std::string>& projection) {
+  std::set<std::string> seen;
+  for (const std::string& col : projection) {
+    RETURN_IF_ERROR(schema.IndexOf(col).status());
+    if (!seen.insert(col).second) {
+      return Status::InvalidArgument("duplicate projected column: " + col);
+    }
   }
-};
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -61,11 +67,7 @@ SnapshotSystem::SnapshotSystem(SnapshotSystemOptions options)
       request_channel_(
           WithMetricsPrefix(options.channel, "net.channel.request")) {
   if (options_.wire_encoding) wire_memo_ = std::make_shared<WireEncodeMemo>();
-  auto main_site = sites_.emplace(
-      "main", std::make_unique<SnapshotSite>(
-                  options_.snap_pool_pages,
-                  WithMetricsPrefix(options_.channel, "net.channel.data")));
-  AttachWireCodecs(main_site.first->second.get());
+  SNAPDIFF_CHECK(AddSnapshotSite("main").ok());
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   metric_refreshes_ = reg.GetCounter("snapshot.refresh.count");
   metric_refresh_retries_ = reg.GetCounter("snapshot.refresh.retries");
@@ -127,11 +129,11 @@ SnapshotSystem::SnapshotSystem(SnapshotSystemOptions options)
 }
 
 RefreshExecution SnapshotSystem::MakeRefreshExecution(
-    const RefreshRequest& request, RefreshSession* session) {
+    std::optional<size_t> workers, std::optional<size_t> batch_size) {
   RefreshExecution exec;
-  exec.workers = request.workers.value_or(options_.refresh_workers);
+  exec.workers = workers.value_or(options_.refresh_workers);
   if (exec.workers == 0) exec.workers = 1;
-  exec.batch_size = request.batch_size.value_or(options_.refresh_batch_size);
+  exec.batch_size = batch_size.value_or(options_.refresh_batch_size);
   if (exec.batch_size == 0) exec.batch_size = 1;
   if (exec.workers > 1) {
     if (refresh_pool_ == nullptr) {
@@ -139,17 +141,8 @@ RefreshExecution SnapshotSystem::MakeRefreshExecution(
     }
     exec.pool = refresh_pool_.get();
   }
-  exec.session = session;
   exec.delta_cache = delta_cache_.get();
   return exec;
-}
-
-RefreshExecution SnapshotSystem::MakeRefreshExecution() {
-  return MakeRefreshExecution(RefreshRequest{}, nullptr);
-}
-
-SnapshotSystem::AdmissionGuard::~AdmissionGuard() {
-  if (sys_ != nullptr && !tables_.empty()) sys_->ReleaseAdmission(tables_);
 }
 
 SnapshotSystem::AdmissionGuard SnapshotSystem::AdmitRefresh(
@@ -331,27 +324,30 @@ Status SnapshotSystem::AddSnapshotSite(const std::string& site_name) {
   if (sites_.contains(site_name)) {
     return Status::AlreadyExists("site " + site_name + " already exists");
   }
-  auto inserted = sites_.emplace(
-      site_name, std::make_unique<SnapshotSite>(
-                     options_.snap_pool_pages,
-                     WithMetricsPrefix(options_.channel, "net.channel.data")));
-  AttachWireCodecs(inserted.first->second.get());
+  std::unique_ptr<SnapshotSite>& site = sites_[site_name];
+  site = std::make_unique<SnapshotSite>(
+      options_.snap_pool_pages,
+      WithMetricsPrefix(options_.channel, "net.channel.data"));
+  if (!options_.wire_encoding) return Status::OK();
+  // The site link's codec pair. The resolver closes over the registry:
+  // snapshots may be created and dropped after the site exists, and a
+  // dropped snapshot simply resolves to no schema (rows ride opaque, which
+  // is always sound).
+  WireCodecOptions codec;
+  codec.compression = options_.wire_compression;
+  WireSchemaResolver resolver = [this](SnapshotId id) -> const Schema* {
+    return ResolveValueSchema(id);
+  };
+  site->encoder = std::make_unique<WireEncoder>(codec, resolver, wire_memo_);
+  site->decoder = std::make_unique<WireDecoder>(codec, resolver);
+  site->applier = SessionApplier(site->decoder.get());
   return Status::OK();
 }
 
 WireCodecStats SnapshotSystem::WireEncoderStats() const {
   WireCodecStats total;
   for (const auto& [name, site] : sites_) {
-    if (site->encoder == nullptr) continue;
-    const WireCodecStats s = site->encoder->stats();
-    total.encoded_messages += s.encoded_messages;
-    total.delta_rows += s.delta_rows;
-    total.columnar_rows += s.columnar_rows;
-    total.opaque_rows += s.opaque_rows;
-    total.compressed_blocks += s.compressed_blocks;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-    total.stream_resets += s.stream_resets;
+    if (site->encoder != nullptr) total += site->encoder->stats();
   }
   // The memo is shared across sites; per-encoder stats each report the
   // shared total, so take it once instead of summing.
@@ -363,20 +359,6 @@ const Schema* SnapshotSystem::ResolveValueSchema(SnapshotId id) const {
   auto it = snapshots_by_id_.find(id);
   if (it == snapshots_by_id_.end()) return nullptr;
   return &it->second->table->value_schema();
-}
-
-void SnapshotSystem::AttachWireCodecs(SnapshotSite* site) {
-  if (!options_.wire_encoding) return;
-  WireCodecOptions codec;
-  codec.compression = options_.wire_compression;
-  // The resolver closes over the registry: snapshots may be created and
-  // dropped after the site exists, and a dropped snapshot simply resolves
-  // to no schema (rows ride opaque, which is always sound).
-  WireSchemaResolver resolver = [this](SnapshotId id) -> const Schema* {
-    return ResolveValueSchema(id);
-  };
-  site->encoder = std::make_unique<WireEncoder>(codec, resolver, wire_memo_);
-  site->decoder = std::make_unique<WireDecoder>(codec, resolver);
 }
 
 std::vector<std::string> SnapshotSystem::SnapshotSiteNames() const {
@@ -456,14 +438,7 @@ Result<SnapshotTable*> SnapshotSystem::CreateSnapshot(
     // not user data at the next level.
     std::erase(projection, std::string(SnapshotTable::kBaseAddrColumn));
   }
-  std::set<std::string> seen;
-  for (const std::string& col : projection) {
-    ASSIGN_OR_RETURN(size_t idx, source->user_schema().IndexOf(col));
-    (void)idx;
-    if (!seen.insert(col).second) {
-      return Status::InvalidArgument("duplicate projected column: " + col);
-    }
-  }
+  RETURN_IF_ERROR(CheckProjection(source->user_schema(), projection));
   ASSIGN_OR_RETURN(Schema value_schema,
                    source->user_schema().Project(projection));
 
@@ -535,14 +510,7 @@ Result<SnapshotTable*> SnapshotSystem::CreateJoinSnapshot(
   if (projection.empty()) {
     for (const Column& c : combined.columns()) projection.push_back(c.name);
   }
-  std::set<std::string> seen;
-  for (const std::string& col : projection) {
-    ASSIGN_OR_RETURN(size_t idx, combined.IndexOf(col));
-    (void)idx;
-    if (!seen.insert(col).second) {
-      return Status::InvalidArgument("duplicate projected column: " + col);
-    }
-  }
+  RETURN_IF_ERROR(CheckProjection(combined, projection));
   ASSIGN_OR_RETURN(Schema value_schema, combined.Project(projection));
   ASSIGN_OR_RETURN(SnapshotSite * site, GetSite("main"));
   ASSIGN_OR_RETURN(auto table,
@@ -559,7 +527,7 @@ Result<SnapshotTable*> SnapshotSystem::CreateJoinSnapshot(
   entry.descriptor.restriction_text = restriction_text;
   entry.descriptor.projection = projection;
   entry.table = std::move(table);
-  entry.source = left;  // lock anchor; Refresh locks both inputs
+  entry.source = left;  // admission anchor; refreshes admit both inputs
 
   auto join = std::make_unique<JoinDescriptor>();
   join->id = entry.descriptor.id;
@@ -589,17 +557,10 @@ Status SnapshotSystem::DropSnapshot(const std::string& snapshot_name) {
   if (it->second.asap != nullptr) {
     it->second.source->RemoveObserver(it->second.asap.get());
   }
-  // Any live served session of this snapshot loses its meaning (and must
-  // not leak its base-table lock).
-  {
-    std::vector<uint64_t> stale;
-    for (const auto& [sid, session] : serve_sessions_) {
-      if (session.snapshot_id == it->second.descriptor.id) {
-        stale.push_back(sid);
-      }
-    }
-    for (uint64_t sid : stale) EvictServeSession(sid);
-  }
+  // A live served session of this snapshot loses its meaning (and must
+  // not keep its scan epoch pinned).
+  EvictServeSession(it->second.descriptor.id);
+  it->second.site->applier.Retire(it->second.descriptor.id);
   snapshots_by_id_.erase(it->second.descriptor.id);
   RETURN_IF_ERROR(it->second.site->catalog.DropTable(snapshot_name));
   snapshots_.erase(it);
@@ -622,102 +583,22 @@ Result<SnapshotTable*> SnapshotSystem::GetSnapshot(
   return entry->table.get();
 }
 
-Status SnapshotSystem::ApplyDelivered(const Message& msg,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
-  auto it = snapshots_by_id_.find(msg.snapshot_id);
-  if (it == snapshots_by_id_.end()) {
-    // Message for a dropped snapshot: discard.
-    return Status::OK();
-  }
-  RefreshStats* apply_stats =
-      (attributed != nullptr && it->second == attributed) ? stats : nullptr;
-  // Admission is the decode point for compact-wire streams: exactly once,
-  // in sequence order, which is what keeps the decoder's row shadow in
-  // lockstep with the base side's encoder.
-  Message decoded;
-  const Message* to_apply = &msg;
-  if (it->second->site->decoder != nullptr) {
-    ASSIGN_OR_RETURN(decoded, it->second->site->decoder->Admit(msg));
-    to_apply = &decoded;
-  }
-  RETURN_IF_ERROR(it->second->table->ApplyMessage(*to_apply, apply_stats));
-  if (applied != nullptr) ++*applied;
-  return Status::OK();
-}
-
-Status SnapshotSystem::DeliverMessage(SnapshotSite* site, const Message& msg,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
-  if (msg.session_id == 0) {
-    // Session-less stream (ASAP propagation, group refresh, joins): apply
-    // on arrival, exactly the pre-session behavior.
-    return ApplyDelivered(msg, attributed, stats, applied);
-  }
-  ApplySessionState& sess = site->sessions[msg.session_id];
-  if (sess.snapshot_id == 0) sess.snapshot_id = msg.snapshot_id;
-  if (msg.seq <= sess.last_applied_seq) {
-    // Duplicate of the applied prefix (channel duplication or an overlap
-    // between a resumed attempt and late arrivals): drop.
-    ++sess.duplicates_dropped;
-    return Status::OK();
-  }
-  if (msg.seq > sess.last_applied_seq + 1) {
-    // Early arrival across a gap: hold until the prefix closes.
-    sess.held.emplace(msg.seq, msg);
-    return Status::OK();
-  }
-  RETURN_IF_ERROR(ApplyDelivered(msg, attributed, stats, applied));
-  sess.last_applied_seq = msg.seq;
-  if (msg.type == MessageType::kEndOfRefresh) sess.end_applied = true;
-  // The admitted message may close the gap in front of held arrivals.
-  auto held = sess.held.begin();
-  while (held != sess.held.end() &&
-         held->first == sess.last_applied_seq + 1) {
-    RETURN_IF_ERROR(ApplyDelivered(held->second, attributed, stats, applied));
-    sess.last_applied_seq = held->first;
-    if (held->second.type == MessageType::kEndOfRefresh) {
-      sess.end_applied = true;
-    }
-    held = sess.held.erase(held);
-  }
-  return Status::OK();
-}
-
 Status SnapshotSystem::DeliverPending(SnapshotSite* site,
                                       const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
+                                      RefreshStats* stats) {
+  const SessionApplier::ApplyFn apply = [&](const Message& msg,
+                                            const Message&) -> Status {
+    const SnapshotEntry* entry = snapshots_by_id_.at(msg.snapshot_id);
+    return entry->table->ApplyMessage(msg,
+                                      entry == attributed ? stats : nullptr);
+  };
   while (site->channel.HasPending()) {
     ASSIGN_OR_RETURN(Message msg, site->channel.Receive());
-    RETURN_IF_ERROR(DeliverMessage(site, msg, attributed, stats, applied));
+    // Messages of a dropped snapshot are discarded, undecoded.
+    if (!snapshots_by_id_.contains(msg.snapshot_id)) continue;
+    RETURN_IF_ERROR(site->applier.Admit(msg, apply));
   }
   return Status::OK();
-}
-
-void SnapshotSystem::PruneSessions(SnapshotSite* site,
-                                   SnapshotId snapshot_id) {
-  for (auto it = site->sessions.begin(); it != site->sessions.end();) {
-    if (it->second.snapshot_id == snapshot_id) {
-      it = site->sessions.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-uint64_t SnapshotSystem::SessionLastApplied(const SnapshotSite* site,
-                                            uint64_t session_id) const {
-  auto it = site->sessions.find(session_id);
-  return it == site->sessions.end() ? 0 : it->second.last_applied_seq;
-}
-
-bool SnapshotSystem::SessionComplete(const SnapshotSite* site,
-                                     uint64_t session_id) const {
-  auto it = site->sessions.find(session_id);
-  return it != site->sessions.end() && it->second.end_applied;
 }
 
 Status SnapshotSystem::DrainChannel() {
@@ -729,22 +610,19 @@ Status SnapshotSystem::DrainChannel() {
 
 Status SnapshotSystem::RunRefreshAttempt(
     SnapshotEntry* entry, RefreshMethod method, Timestamp request_time,
-    const RefreshRequest& request, RefreshSession* session, MessageSink* wire,
+    const ServeRequest& request, RefreshSession* session, MessageSink* wire,
     obs::Tracer* tracer, RefreshStats* stats,
     const std::shared_ptr<TableEpoch>& epoch) {
   SnapshotDescriptor* desc = &entry->descriptor;
   BaseTable* base = entry->source;
-  MessageSink* channel = wire;
-  if (entry->join != nullptr) {
-    // General (join) snapshot: always a session-less full re-evaluation.
-    return ExecuteJoinFullRefresh(entry->join.get(), channel, stats, tracer);
-  }
-  RefreshExecution exec = MakeRefreshExecution(request, session);
+  RefreshExecution exec =
+      MakeRefreshExecution(request.workers, request.batch_size);
+  exec.session = session;
   exec.epoch = epoch;
   switch (method) {
     case RefreshMethod::kFull: {
       RETURN_IF_ERROR(
-          ExecuteFullRefresh(base, desc, channel, stats, tracer, exec));
+          ExecuteFullRefresh(base, desc, wire, stats, tracer, exec));
       if (desc->method == RefreshMethod::kLogBased && base->wal() != nullptr) {
         // A full override of a log-based snapshot subsumes the backlog,
         // exactly like the executor's own truncation fallback.
@@ -753,28 +631,21 @@ Status SnapshotSystem::RunRefreshAttempt(
       return Status::OK();
     }
     case RefreshMethod::kDifferential:
-      return ExecuteDifferentialRefresh(base, desc, request_time, channel,
-                                        stats, tracer, exec);
+      return ExecuteDifferentialRefresh(base, desc, request_time, wire, stats,
+                                        tracer, exec);
     case RefreshMethod::kIdeal:
-      return ExecuteIdealRefresh(base, desc, channel, stats, tracer, exec);
+      return ExecuteIdealRefresh(base, desc, wire, stats, tracer, exec);
     case RefreshMethod::kLogBased:
-      return ExecuteLogBasedRefresh(base, desc, channel, stats, tracer,
-                                    exec);
+      return ExecuteLogBasedRefresh(base, desc, wire, stats, tracer, exec);
     case RefreshMethod::kAsap: {
-      // The demand's SnapTime, not the local replica's: a remote client
-      // reports its own SnapTime, and for the in-process site the two are
-      // identical (the request echoes entry->table->snap_time()).
+      // The SnapTime the client's demand carried decides.
       if (request_time == kNullTimestamp) {
-        // First refresh initializes the replica with a full copy; changes
-        // made before the snapshot existed were never streamed. Without an
-        // epoch the copy reads the live table, so anything the propagator
-        // buffered is subsumed by it. With an epoch, buffered changes may
-        // postdate the cut — the caller paused propagation and flushes
-        // them after the copy instead (idempotent for the pre-cut ones).
-        if (entry->asap != nullptr && epoch == nullptr) {
-          entry->asap->DiscardBuffered();
-        }
-        return ExecuteFullRefresh(base, desc, channel, stats, tracer, exec);
+        // First refresh initializes the replica with a full copy of the
+        // epoch's cut; changes made before the snapshot existed were never
+        // streamed. Buffered changes may postdate the cut, so the local
+        // client paused propagation and flushes them after the copy
+        // (idempotent for the pre-cut ones).
+        return ExecuteFullRefresh(base, desc, wire, stats, tracer, exec);
       }
       // Thereafter changes are already streamed; flush any partition
       // backlog and stamp the snapshot with a fresh base time. The flush
@@ -783,9 +654,8 @@ Status SnapshotSystem::RunRefreshAttempt(
       if (entry->asap != nullptr) {
         RETURN_IF_ERROR(entry->asap->FlushBuffered());
       }
-      const Message end = MakeEndOfRefresh(desc->id, Address::Null(),
-                                           base->oracle()->Next());
-      return session != nullptr ? session->Send(end) : channel->Send(end);
+      return session->Send(MakeEndOfRefresh(desc->id, Address::Null(),
+                                            base->oracle()->Next()));
     }
   }
   return Status::Internal("bad refresh method");
@@ -805,7 +675,6 @@ void SnapshotSystem::CommitRefreshOutcome(SnapshotDescriptor* desc) {
 Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(request.snapshot));
   SnapshotDescriptor* desc = &entry->descriptor;
-  SnapshotTable* snap = entry->table.get();
   SnapshotSite* site = entry->site;
   Channel* channel = &site->channel;
 
@@ -823,17 +692,11 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     method = RefreshMethod::kFull;
   }
 
-  // Stale staged outcomes of an earlier failed call must not survive into
-  // this one (the attempt below re-stages its own).
-  desc->pending_ideal_shadow.reset();
-  desc->pending_refresh_lsn.reset();
-
-  RefreshReport report;
-  const bool sessionless = entry->join != nullptr;
-  if (!sessionless) report.session_id = next_session_id_++;
-
   tracer_.Begin("refresh " + request.snapshot);
-  TraceEndGuard trace_guard{&tracer_};
+  // Ends the trace on error returns without clobbering the explicit End().
+  Cleanup end_trace([this] {
+    if (tracer_.active()) tracer_.End();
+  });
 
   // Deliver anything still in flight — ASAP streams, and the applied
   // prefix of an interrupted earlier session — before measuring.
@@ -841,216 +704,155 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     obs::Tracer::Span drain_span(&tracer_, "drain");
     RETURN_IF_ERROR(DrainChannel());
   }
-  // This session supersedes any earlier session for the snapshot; its
+  // This call demands a fresh session, superseding any earlier one; its
   // prefix was just delivered, so the checkpoint state can go.
-  PruneSessions(site, desc->id);
-
-  // Compact wire mode: both codec halves are local, so the generation
-  // exchange a remote client carries in its demand is a direct call here.
-  WireEncoder* encoder = sessionless ? nullptr : site->encoder.get();
-  if (encoder != nullptr) {
-    encoder->SyncGeneration(desc->id, site->decoder->generation(desc->id));
-  }
+  site->applier.Retire(desc->id);
 
   // A scripted per-request fault window: armed before the first attempt,
   // healed (at the latest) when the call returns.
-  struct FaultScope {
-    Channel* channel = nullptr;
-    ~FaultScope() {
-      if (channel != nullptr) channel->Heal();
-    }
-  } fault_scope;
-  if (request.fault.has_value() && !request.fault->empty()) {
-    channel->Arm(*request.fault);
-    fault_scope.channel = channel;
-  }
+  const bool faulted = request.fault.has_value() && !request.fault->empty();
+  if (faulted) channel->Arm(*request.fault);
+  Cleanup heal([&] {
+    if (faulted) channel->Heal();
+  });
 
-  // The demand: snapshot → base, carrying SnapTime + restriction.
-  obs::Tracer::Span request_span(&tracer_, "request");
-  RETURN_IF_ERROR(request_channel_.Send(MakeRefreshRequest(
-      desc->id, snap->snap_time(), desc->restriction_text)));
-  ASSIGN_OR_RETURN(Message demand, request_channel_.Receive());
-  request_span.Close();
-
-  // The paper obtains "a table level lock on the base table during the fix
-  // up (and refresh) procedures"; this implementation deviates: the refresh
-  // reads a copy-on-write scan epoch under a *shared* lock, so writers run
-  // concurrently and fix-ups go through the conditional WriteAnnotationsIf.
-  // Per-table admission serializes against other refreshes of the same
-  // table (which would race on fix-ups and staged outcomes). The epoch is
-  // held across every attempt of this call: retries re-transmit the same
-  // frozen cut, which is what makes resume-by-sequence sound even while
-  // the live table keeps changing.
-  const TxnId txn = refresh_txn_++;
-  struct LockScope {
-    LockManager* locks;
-    TxnId txn;
-    ~LockScope() { locks->ReleaseAll(txn); }
-  } lock_scope{&locks_, txn};
-  AdmissionGuard admission;
-  std::shared_ptr<TableEpoch> epoch;
-  if (entry->join != nullptr) {
-    JoinDescriptor* join = entry->join.get();
-    admission = AdmitRefresh(
-        {join->left->info()->id, join->right->info()->id});
-    RETURN_IF_ERROR(
-        locks_.Acquire(txn, join->left->info()->id, LockMode::kShared));
-    RETURN_IF_ERROR(
-        locks_.Acquire(txn, join->right->info()->id, LockMode::kShared));
-  }
   // ASAP delivery order vs. the cut: changes propagated after the epoch
   // opens must not land at the site before the copy's (older) image of the
   // same row. Pause propagation into the buffer across the stream and
-  // flush once the call ends; re-sent pre-cut changes are idempotent.
-  struct AsapPause {
-    AsapPropagator* asap = nullptr;
-    ~AsapPause() {
-      // A failed flush (still-partitioned channel) leaves the messages
-      // buffered for the next flush; nothing to do with the status here.
-      if (asap != nullptr) (void)asap->ResumeAndFlush();
-    }
-  } asap_pause;
-  if (entry->join == nullptr) {
-    if (method == RefreshMethod::kAsap && entry->asap != nullptr) {
-      entry->asap->PauseToBuffer();
-      asap_pause.asap = entry->asap.get();
-    }
-    admission = AdmitRefresh({entry->source->info()->id});
-    RETURN_IF_ERROR(locks_.Acquire(txn, entry->source->info()->id,
-                                   LockMode::kShared));
-    epoch = entry->source->OpenEpoch();
-    if (request.on_epoch_open) request.on_epoch_open();
-  }
+  // flush once the call ends; re-sent pre-cut changes are idempotent. A
+  // failed flush (still-partitioned link) keeps them buffered.
+  AsapPropagator* paused =
+      method == RefreshMethod::kAsap ? entry->asap.get() : nullptr;
+  if (paused != nullptr) paused->PauseToBuffer();
+  Cleanup flush([paused] {
+    if (paused != nullptr) (void)paused->ResumeAndFlush();
+  });
 
-  RefreshStats stats;
+  // A call that fails abandons its session (the next call demands afresh):
+  // release its scan epoch and staged outcome now, not at the next serve.
+  // A no-op once AcknowledgeServe retired it.
+  ServeOutcome served;
+  Cleanup abandon([&] {
+    std::lock_guard<std::mutex> guard(serve_mu_);
+    if (served.session_id != 0) EvictServeSession(desc->id, served.session_id);
+  });
+
+  // The demand crosses the request link (snapshot → base) and is served
+  // exactly as a remote site's would be.
+  const auto demand = [&]() -> Result<ServeRequest> {
+    RETURN_IF_ERROR(request_channel_.Send(site->applier.Demand(
+        desc->id, entry->table->snap_time(), desc->restriction_text)));
+    ASSIGN_OR_RETURN(Message received, request_channel_.Receive());
+    ServeRequest serve =
+        ServeRequest::FromDemand(received, site->encoder.get());
+    serve.workers = request.workers;
+    serve.batch_size = request.batch_size;
+    return serve;
+  };
+  obs::Tracer::Span request_span(&tracer_, "request");
+  ASSIGN_OR_RETURN(ServeRequest serve, demand());
+  request_span.Close();
+
+  RefreshReport report;
   const ChannelStats before = channel->stats();
-  const Timestamp initial_snap_time = snap->snap_time();
   const std::string execute_label =
       entry->join != nullptr
           ? "execute join-full"
           : std::string("execute ").append(RefreshMethodToString(method));
-  uint64_t resume_after = 0;
-
   for (;;) {
-    if (encoder != nullptr) {
-      encoder->BeginStream(desc->id, report.session_id, resume_after > 0);
-    }
-    RefreshSession session(channel, report.session_id, resume_after, encoder);
-    RefreshSession* session_ptr = sessionless ? nullptr : &session;
     obs::Tracer::Span exec_span(&tracer_, execute_label);
-    Status exec = RunRefreshAttempt(entry, method, demand.timestamp, request,
-                                    session_ptr, channel, &tracer_, &stats,
-                                    epoch);
+    Status exec = ServeRefresh(serve, channel, &request, &tracer_, &served);
     exec_span.Close();
-    if (session_ptr != nullptr) {
-      report.suppressed_messages += session.suppressed();
+    if (served.resumed) {
+      ++report.resumes;
+      metric_refresh_resumes_->Inc();
     }
     if (!exec.ok() && !exec.IsUnavailable()) return exec;
 
-    Status failure = exec;
-    if (exec.ok()) {
-      // Snapshot site: receive and apply.
-      obs::Tracer::Span apply_span(&tracer_, "apply");
-      uint64_t applied = 0;
-      RETURN_IF_ERROR(DeliverPending(site, entry, &stats, &applied));
-      apply_span.Note("messages", applied);
-      apply_span.Close();
-      // The transmission succeeded end-to-end only if the stream's END
-      // actually applied — with lossy delivery, executor success alone
-      // proves nothing. Session-less joins settle for the SnapTime stamp.
-      const bool complete =
-          sessionless ? snap->snap_time() != initial_snap_time
-                      : SessionComplete(site, report.session_id);
-      if (complete) break;
-      failure = Status::Unavailable(
-          "refresh " + request.snapshot + " session " +
-          std::to_string(report.session_id) +
-          " incomplete: messages lost in transit");
-    }
-    if (report.retries >= request.retry.max_retries) {
-      // Out of attempts. With retries disabled this preserves the classic
-      // contract: the error surfaces and the partial prefix stays queued
-      // for the next call's drain.
-      return failure;
-    }
+    // Snapshot site: apply whatever arrived. After a mid-stream failure
+    // that is the resume checkpoint.
+    obs::Tracer::Span apply_span(&tracer_, "apply");
+    const uint64_t applied = site->applier.counters().applied;
+    RETURN_IF_ERROR(DeliverPending(site, entry, &served.stats));
+    apply_span.Note("messages", site->applier.counters().applied - applied);
+    apply_span.Close();
+    // The transmission succeeded end-to-end only if the stream's END
+    // actually applied — with lossy delivery, executor success alone
+    // proves nothing.
+    if (site->applier.Complete(desc->id, served.session_id)) break;
+    const Status failure =
+        !exec.ok() ? exec
+                   : Status::Unavailable(
+                         "refresh " + request.snapshot + " session " +
+                         std::to_string(served.session_id) +
+                         " incomplete: messages lost in transit");
+    if (report.retries >= request.retry.max_retries) return failure;
 
-    // --- retry ---
+    // --- retry: RESUME_REFRESH negotiation. The site's demand names its
+    // applied prefix and the base re-runs the session with that prefix
+    // suppressed; without resume the retry demands a fresh session.
     ++report.retries;
     ++report.attempts;
     metric_refresh_retries_->Inc();
     obs::Tracer::Span retry_span(&tracer_, "retry");
-    if (!exec.ok()) {
-      // The attempt died mid-stream; deliver whatever arrived before the
-      // fault so the site's resume checkpoint is current.
-      RETURN_IF_ERROR(DeliverPending(site, entry, &stats, nullptr));
-    }
-    resume_after = 0;
-    if (!sessionless && request.retry.resume) {
-      // RESUME_REFRESH negotiation: the snapshot site reports its durably
-      // applied prefix over the demand link; the base re-runs the refresh
-      // with that prefix suppressed.
-      const uint64_t checkpoint =
-          SessionLastApplied(site, report.session_id);
-      RETURN_IF_ERROR(request_channel_.Send(
-          MakeResumeRefresh(desc->id, report.session_id, checkpoint)));
-      ASSIGN_OR_RETURN(Message resume, request_channel_.Receive());
-      resume_after = resume.seq;
-      if (resume_after > 0) {
-        ++report.resumes;
-        metric_refresh_resumes_->Inc();
-      }
-    }
+    if (!request.retry.resume) site->applier.Retire(desc->id);
+    ASSIGN_OR_RETURN(serve, demand());
     // Capped exponential backoff in simulated ticks; advancing the link's
     // clock is also what fires FaultPlan::WithHealAfter.
-    uint64_t backoff = request.retry.initial_backoff_ticks;
-    for (uint64_t step = 1;
-         step < report.retries && backoff < request.retry.max_backoff_ticks;
-         ++step) {
-      backoff *= 2;
-    }
-    backoff = std::min(backoff, request.retry.max_backoff_ticks);
+    const uint64_t backoff = request.retry.BackoffTicks(report.retries);
     report.backoff_ticks += backoff;
     if (backoff > 0) channel->AdvanceTime(backoff);
     retry_span.Note("attempt", report.attempts);
     retry_span.Note("backoff_ticks", backoff);
-    retry_span.Note("resume_after_seq", resume_after);
+    retry_span.Note("resume_after_seq", serve.resume_after_seq);
     retry_span.Close();
     SNAPDIFF_LOG(Warn) << "refresh retrying"
                        << obs::kv("snapshot", request.snapshot)
-                       << obs::kv("session", report.session_id)
+                       << obs::kv("session", served.session_id)
                        << obs::kv("attempt", report.attempts)
-                       << obs::kv("resume_after_seq", resume_after)
+                       << obs::kv("resume_after_seq", serve.resume_after_seq)
                        << obs::kv("backoff_ticks", backoff)
                        << obs::kv("reason", failure.ToString());
   }
 
+  RefreshStats stats = std::move(served.stats);
   stats.traffic = channel->stats() - before;
-  // The site applied the session's END (that is what broke the loop) — the
-  // in-process analogue of SESSION_ACK, so the encoder's folds commit.
-  if (encoder != nullptr) encoder->CommitStream(desc->id, report.session_id);
-  CommitRefreshOutcome(desc);
-  FinishRefreshTrace(request.snapshot, *desc, *snap, stats);
+  // The site applied the session's END: acknowledge it, which commits the
+  // staged outcome, and let the encoder's folds commit with it.
+  site->applier.Retire(desc->id);
+  if (served.session_id != 0 &&
+      AcknowledgeServe(desc->id, served.session_id).ok() &&
+      site->encoder != nullptr) {
+    site->encoder->CommitStream(desc->id, served.session_id);
+  }
+  FinishRefreshTrace(*entry, stats);
+  report.session_id = served.session_id;
+  report.suppressed_messages = served.suppressed;
   report.trace_id = tracer_.name();
   report.stats = std::move(stats);
   return report;
 }
 
-void SnapshotSystem::FinishRefreshTrace(const std::string& snapshot_name,
-                                        const SnapshotDescriptor& desc,
-                                        const SnapshotTable& snap,
+void SnapshotSystem::CountRefresh(const SnapshotEntry& entry) {
+  metric_refreshes_->Inc();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const std::string& name = entry.descriptor.name;
+  reg.GetCounter("snapshot." + name + ".refreshes")->Inc();
+  reg.GetGauge("snapshot." + name + ".staleness")
+      ->Set(static_cast<int64_t>(base_oracle_.Current()) -
+            static_cast<int64_t>(entry.table->snap_time()));
+}
+
+void SnapshotSystem::FinishRefreshTrace(const SnapshotEntry& entry,
                                         const RefreshStats& stats) {
   tracer_.End();
-  metric_refreshes_->Inc();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("snapshot." + snapshot_name + ".refreshes")->Inc();
-  const int64_t staleness = static_cast<int64_t>(base_oracle_.Current()) -
-                            static_cast<int64_t>(snap.snap_time());
-  reg.GetGauge("snapshot." + snapshot_name + ".staleness")->Set(staleness);
+  CountRefresh(entry);
   SNAPDIFF_LOG(Info) << "refresh complete"
-                     << obs::kv("snapshot", snapshot_name)
-                     << obs::kv("method", RefreshMethodToString(desc.method))
+                     << obs::kv("snapshot", entry.descriptor.name)
+                     << obs::kv("method",
+                                RefreshMethodToString(entry.descriptor.method))
                      << obs::kv("messages", stats.traffic.messages)
                      << obs::kv("wire_bytes", stats.traffic.wire_bytes)
                      << obs::kv("duration_us", tracer_.duration_us());
@@ -1063,40 +865,59 @@ Result<SnapshotSystem::SnapshotWireInfo> SnapshotSystem::DescribeSnapshot(
   SnapshotWireInfo info;
   info.id = entry->descriptor.id;
   info.value_schema = entry->table->value_schema();
-  info.method = entry->join != nullptr ? RefreshMethod::kFull
-                                       : entry->descriptor.method;
+  info.method = entry->descriptor.method;  // kFull for joins
   return info;
 }
 
-void SnapshotSystem::EvictServeSession(uint64_t session_id) {
-  auto it = serve_sessions_.find(session_id);
-  if (it == serve_sessions_.end()) return;
-  auto by_id = snapshots_by_id_.find(it->second.snapshot_id);
+void SnapshotSystem::EvictServeSession(SnapshotId snapshot_id,
+                                       uint64_t session_id) {
+  auto it = serve_sessions_.find(snapshot_id);
+  if (it == serve_sessions_.end() ||
+      (session_id != 0 && it->second.session_id != session_id)) {
+    return;
+  }
+  auto by_id = snapshots_by_id_.find(snapshot_id);
   if (by_id != snapshots_by_id_.end()) {
     by_id->second->descriptor.pending_ideal_shadow.reset();
     by_id->second->descriptor.pending_refresh_lsn.reset();
   }
-  locks_.ReleaseAll(it->second.txn);
   serve_sessions_.erase(it);
 }
 
-void SnapshotSystem::EvictServeSessionsForSource(const BaseTable* source) {
-  std::vector<uint64_t> stale;
-  for (const auto& [sid, session] : serve_sessions_) {
-    auto by_id = snapshots_by_id_.find(session.snapshot_id);
-    if (by_id != snapshots_by_id_.end() && by_id->second->source == source) {
-      stale.push_back(sid);
-    }
+SnapshotSystem::ServeRequest SnapshotSystem::ServeRequest::FromDemand(
+    const Message& demand, WireEncoder* encoder) {
+  ServeRequest request;
+  request.snapshot_id = demand.snapshot_id;
+  request.client_snap_time = demand.timestamp;
+  if (demand.type == MessageType::kResumeRefresh) {
+    request.resume_session_id = demand.session_id;
+    request.resume_after_seq = demand.seq;
   }
-  for (uint64_t sid : stale) EvictServeSession(sid);
+  request.encoder = encoder;
+  // A codec-speaking client reports its committed generation in the
+  // demand's otherwise-unused base_addr (Null = legacy demand).
+  request.client_codec_gen =
+      demand.base_addr.IsNull() ? 0 : demand.base_addr.raw();
+  return request;
 }
 
 Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     const ServeRequest& request, MessageSink* wire) {
+  ServeOutcome outcome;
+  RETURN_IF_ERROR(ServeRefresh(request, wire, /*local=*/nullptr,
+                               /*tracer=*/nullptr, &outcome));
+  return outcome;
+}
+
+Status SnapshotSystem::ServeRefresh(const ServeRequest& request,
+                                    MessageSink* wire,
+                                    const RefreshRequest* local,
+                                    obs::Tracer* tracer,
+                                    ServeOutcome* outcome) {
   SnapshotEntry* entry = nullptr;
   {
-    // Registry lookup only; execution is NOT under serve_mu_ anymore, so
-    // server threads refreshing different tables stream concurrently.
+    // Registry lookup only; execution is NOT under serve_mu_, so server
+    // threads refreshing different tables stream concurrently.
     std::lock_guard<std::mutex> guard(serve_mu_);
     auto by_id = snapshots_by_id_.find(request.snapshot_id);
     if (by_id == snapshots_by_id_.end()) {
@@ -1106,111 +927,57 @@ Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     entry = by_id->second;
   }
   SnapshotDescriptor* desc = &entry->descriptor;
-
-  RefreshRequest exec_request;
-  exec_request.snapshot = entry->table->name();
-  exec_request.workers = request.workers;
-  exec_request.batch_size = request.batch_size;
-
-  ServeOutcome outcome;
-  RefreshStats stats;
-
   if (entry->join != nullptr) {
-    // Sessionless join serve: a full re-evaluation under shared locks held
-    // only for the call — there is no resumable stream to keep frozen.
+    // Sessionless join serve: a full re-evaluation admitted over both
+    // inputs — there is no resumable stream to keep frozen.
     AdmissionGuard admission = AdmitRefresh(
         {entry->join->left->info()->id, entry->join->right->info()->id});
-    const TxnId txn = refresh_txn_++;
-    Status locked = locks_.Acquire(txn, entry->join->left->info()->id,
-                                   LockMode::kShared);
-    if (locked.ok()) {
-      locked = locks_.Acquire(txn, entry->join->right->info()->id,
-                              LockMode::kShared);
-    }
-    if (!locked.ok()) {
-      locks_.ReleaseAll(txn);
-      return locked;
-    }
-    Status exec =
-        RunRefreshAttempt(entry, RefreshMethod::kFull,
-                          request.client_snap_time, exec_request,
-                          /*session=*/nullptr, wire, /*tracer=*/nullptr,
-                          &stats, /*epoch=*/nullptr);
-    locks_.ReleaseAll(txn);
-    RETURN_IF_ERROR(exec);
-    outcome.stats = std::move(stats);
-    return outcome;
+    return ExecuteJoinFullRefresh(entry->join.get(), wire, &outcome->stats,
+                                  tracer);
   }
 
   // Admission is held only while this attempt streams — not until the ack.
-  // The session's epoch (not a table lock) is what keeps a later RESUME
-  // byte-identical, so other snapshots of this table refresh freely
-  // between a stream and its ack.
+  // The session's epoch is what keeps a later RESUME byte-identical, so
+  // other snapshots of this table refresh freely between a stream and its
+  // ack.
   AdmissionGuard admission = AdmitRefresh({entry->source->info()->id});
 
-  uint64_t session_id = 0;
+  ServeSession live;  // the session this attempt streams
   uint64_t resume_after = 0;
-  RefreshMethod method = desc->method;
-  Timestamp request_time = request.client_snap_time;
-  std::shared_ptr<TableEpoch> epoch;
-
+  bool fresh = false;
   {
     std::lock_guard<std::mutex> guard(serve_mu_);
-    auto live = request.resume_session_id != 0
-                    ? serve_sessions_.find(request.resume_session_id)
-                    : serve_sessions_.end();
-    if (live != serve_sessions_.end() &&
-        live->second.snapshot_id == desc->id) {
+    auto it = serve_sessions_.find(desc->id);
+    if (request.resume_session_id != 0 && it != serve_sessions_.end() &&
+        it->second.session_id == request.resume_session_id) {
       // RESUME of a live session: its scan epoch still pins the cut, so
       // the deterministic re-run emits the byte-identical stream (writers
       // mutated the live table freely in between) and suppress-by-sequence
       // names exactly the applied prefix.
-      session_id = request.resume_session_id;
+      live = it->second;
       resume_after = request.resume_after_seq;
-      method = live->second.method;
-      request_time = live->second.request_time;
-      epoch = live->second.epoch;
-      outcome.resumed = resume_after > 0;
     } else {
-      // Fresh session; supersede any dangling session for this snapshot.
-      std::vector<uint64_t> stale;
-      for (const auto& [sid, session] : serve_sessions_) {
-        if (session.snapshot_id == desc->id) stale.push_back(sid);
-      }
-      for (uint64_t sid : stale) EvictServeSession(sid);
-
-      // Stale staged outcomes of an earlier unacknowledged serve must not
-      // survive into this one.
-      desc->pending_ideal_shadow.reset();
-      desc->pending_refresh_lsn.reset();
-
-      if (method == RefreshMethod::kAsap &&
-          request_time != kNullTimestamp) {
+      // Fresh session, superseding any dangling session for this snapshot:
+      // its staged outcome must not survive into this one.
+      EvictServeSession(desc->id);
+      const RefreshMethod method =
+          local != nullptr ? local->method.value_or(desc->method)
+                           : desc->method;
+      if (local == nullptr && method == RefreshMethod::kAsap &&
+          request.client_snap_time != kNullTimestamp) {
         return Status::InvalidArgument(
             "ASAP propagation is in-process only; a remote site receives "
             "the initial full copy and must re-attach for a fresh copy");
       }
-
-      const TxnId txn = refresh_txn_++;
-      Status locked = locks_.Acquire(txn, entry->source->info()->id,
-                                     LockMode::kShared);
-      if (!locked.ok()) {
-        // An exclusive holder (an admin operation, or a dangling legacy
-        // session). Steal: evict served sessions of this table (their
-        // clients restart fresh when they resume) and retry once.
-        EvictServeSessionsForSource(entry->source);
-        locked = locks_.Acquire(txn, entry->source->info()->id,
-                                LockMode::kShared);
-        if (!locked.ok()) {
-          locks_.ReleaseAll(txn);
-          return locked;
-        }
-      }
-      epoch = entry->source->OpenEpoch();
-      session_id = next_session_id_++;
-      serve_sessions_[session_id] =
-          ServeSession{desc->id, txn, method, request_time, epoch};
+      live = ServeSession{next_session_id_++, method,
+                          request.client_snap_time,
+                          entry->source->OpenEpoch()};
+      serve_sessions_[desc->id] = live;
+      fresh = true;
     }
+  }
+  if (fresh && local != nullptr && local->on_epoch_open) {
+    local->on_epoch_open();
   }
 
   if (request.encoder != nullptr) {
@@ -1222,34 +989,33 @@ Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     // in-session shadow by replaying the suppressed prefix) realigns them.
     // When generations already match the sync is a no-op.
     request.encoder->SyncGeneration(desc->id, request.client_codec_gen);
-    request.encoder->BeginStream(desc->id, session_id, resume_after > 0);
+    request.encoder->BeginStream(desc->id, live.session_id,
+                                 resume_after > 0);
   }
-  RefreshSession session(wire, session_id, resume_after, request.encoder);
-  Status exec = RunRefreshAttempt(entry, method, request_time, exec_request,
-                                  &session, wire, /*tracer=*/nullptr,
-                                  &stats, epoch);
-  outcome.session_id = session_id;
-  outcome.last_seq = session.last_seq();
-  outcome.suppressed = session.suppressed();
-  if (!exec.ok()) {
-    if (!exec.IsUnavailable()) {
-      // A real executor failure: this session cannot be resumed soundly.
-      std::lock_guard<std::mutex> guard(serve_mu_);
-      EvictServeSession(session_id);
-    }
-    // Unavailable = the transport died mid-stream. The session (and its
-    // epoch) stays live for the client's RESUME.
-    return exec;
+  RefreshSession session(wire, live.session_id, resume_after,
+                         request.encoder);
+  outcome->session_id = live.session_id;
+  outcome->resumed = resume_after > 0;
+  Status exec = RunRefreshAttempt(entry, live.method, live.request_time,
+                                  request, &session, wire, tracer,
+                                  &outcome->stats, live.epoch);
+  outcome->last_seq = session.last_seq();
+  outcome->suppressed += session.suppressed();
+  if (!exec.ok() && !exec.IsUnavailable()) {
+    // A real executor failure: this session cannot be resumed soundly.
+    std::lock_guard<std::mutex> guard(serve_mu_);
+    EvictServeSession(desc->id, live.session_id);
   }
-  outcome.stats = std::move(stats);
-  return outcome;
+  // Unavailable = the transport died mid-stream. The session (and its
+  // epoch) stays live for the client's RESUME.
+  return exec;
 }
 
 Status SnapshotSystem::AcknowledgeServe(SnapshotId snapshot_id,
                                         uint64_t session_id) {
   std::lock_guard<std::mutex> guard(serve_mu_);
-  auto it = serve_sessions_.find(session_id);
-  if (it == serve_sessions_.end() || it->second.snapshot_id != snapshot_id) {
+  auto it = serve_sessions_.find(snapshot_id);
+  if (it == serve_sessions_.end() || it->second.session_id != session_id) {
     return Status::NotFound("serve session " + std::to_string(session_id) +
                             " is no longer live");
   }
@@ -1257,7 +1023,6 @@ Status SnapshotSystem::AcknowledgeServe(SnapshotId snapshot_id,
   if (by_id != snapshots_by_id_.end()) {
     CommitRefreshOutcome(&by_id->second->descriptor);
   }
-  locks_.ReleaseAll(it->second.txn);
   serve_sessions_.erase(it);
   return Status::OK();
 }
@@ -1294,7 +1059,9 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   }
 
   tracer_.Begin("refresh-group");
-  TraceEndGuard trace_guard{&tracer_};
+  Cleanup end_trace([this] {
+    if (tracer_.active()) tracer_.End();
+  });
 
   {
     obs::Tracer::Span drain_span(&tracer_, "drain");
@@ -1307,8 +1074,7 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   // Every member transmits through its own wire session, so the shared
   // scan's fan-out keeps per-session identity and sequence stamping intact
   // on the wire — exactly what a real multi-subscriber server needs.
-  std::vector<std::unique_ptr<RefreshSession>> sessions;
-  sessions.reserve(entries.size());
+  std::deque<RefreshSession> sessions;
   obs::Tracer::Span request_span(&tracer_, "request");
   // One encoder serves the whole group: the shared scan fans each row out to
   // every member session, so the encode memo turns N near-identical encodes
@@ -1320,7 +1086,7 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
                            entry->descriptor.restriction_text)));
     ASSIGN_OR_RETURN(Message request, request_channel_.Receive());
     RefreshStats& stats = results[entry->descriptor.name];
-    PruneSessions(group_site, entry->descriptor.id);
+    group_site->applier.Retire(entry->descriptor.id);
     const uint64_t session_id = next_session_id_++;
     if (group_encoder != nullptr) {
       group_encoder->SyncGeneration(
@@ -1329,113 +1095,96 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
       group_encoder->BeginStream(entry->descriptor.id, session_id,
                                  /*resumed=*/false);
     }
-    sessions.push_back(std::make_unique<RefreshSession>(
-        &group_site->channel, session_id, /*resume_after=*/0,
-        group_encoder));
-    members.push_back({&entry->descriptor, request.timestamp, &stats,
-                       sessions.back().get()});
+    sessions.emplace_back(&group_site->channel, session_id,
+                          /*resume_after_seq=*/0, group_encoder);
+    members.push_back(
+        {&entry->descriptor, request.timestamp, &stats, &sessions.back()});
   }
   request_span.Note("members", members.size());
   request_span.Close();
 
-  // Shared scan epoch in place of the old exclusive table lock: the group
-  // scan reads the cut while writers mutate the live table concurrently.
-  AdmissionGuard admission = AdmitRefresh({base->info()->id});
-  const TxnId txn = refresh_txn_++;
-  RETURN_IF_ERROR(locks_.Acquire(txn, base->info()->id, LockMode::kShared));
+  // Writers mutate the live table while the group scan reads an epoch.
   Channel* channel = &group_site->channel;
   const ChannelStats before = channel->stats();
   obs::Tracer::Span exec_span(&tracer_, "execute group-differential");
-  RefreshExecution group_exec = MakeRefreshExecution();
-  group_exec.epoch = base->OpenEpoch();
-  Status exec = ExecuteGroupDifferentialRefresh(base, &members, channel,
-                                                &tracer_, group_exec);
-  Status unlock = locks_.Release(txn, base->info()->id);
-  RETURN_IF_ERROR(exec);
-  RETURN_IF_ERROR(unlock);
+  {
+    AdmissionGuard admission = AdmitRefresh({base->info()->id});
+    RefreshExecution group_exec = MakeRefreshExecution();
+    group_exec.epoch = base->OpenEpoch();
+    RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(base, &members, channel,
+                                                    &tracer_, group_exec));
+  }
   const ChannelStats total = channel->stats() - before;
   exec_span.Close();
 
-  // Receive and apply, attributing message counts per snapshot.
+  // Receive and apply through the site's applier, attributing message
+  // counts per snapshot.
   obs::Tracer::Span apply_span(&tracer_, "apply");
+  const SessionApplier::ApplyFn apply = [&](const Message& msg,
+                                            const Message& raw) -> Status {
+    auto it = snapshots_by_id_.find(msg.snapshot_id);
+    if (it == snapshots_by_id_.end()) return Status::OK();
+    auto res = results.find(it->second->descriptor.name);
+    if (res == results.end()) {
+      return it->second->table->ApplyMessage(msg, nullptr);
+    }
+    ChannelStats& traffic = res->second.traffic;
+    ++traffic.messages;
+    uint64_t batched = 0;
+    switch (ClassifyMessage(raw, &batched)) {
+      case MessageClass::kEntry:
+        ++traffic.entry_messages;
+        traffic.batched_entries += batched;
+        break;
+      case MessageClass::kDelete:
+        ++traffic.delete_messages;
+        break;
+      case MessageClass::kControl:
+        ++traffic.control_messages;
+        break;
+    }
+    // Attribute the bytes that actually travelled (encoded when the wire
+    // codec is on), not the decoded logical size. Frames are a property of
+    // the whole burst; report the total.
+    traffic.payload_bytes += raw.SerializedSize();
+    traffic.frames = total.frames;
+    traffic.wire_bytes = total.wire_bytes;
+    return it->second->table->ApplyMessage(msg, &res->second);
+  };
   while (channel->HasPending()) {
     ASSIGN_OR_RETURN(Message raw, channel->Receive());
-    Message msg = raw;
-    if (group_site->decoder != nullptr) {
-      ASSIGN_OR_RETURN(msg, group_site->decoder->Admit(raw));
-    }
-    auto it = snapshots_by_id_.find(msg.snapshot_id);
-    if (it == snapshots_by_id_.end()) continue;
-    RefreshStats* stats = nullptr;
-    auto res = results.find(it->second->descriptor.name);
-    if (res != results.end()) {
-      stats = &res->second;
-      ++stats->traffic.messages;
-      switch (msg.type) {
-        case MessageType::kEntry:
-        case MessageType::kUpsert:
-          ++stats->traffic.entry_messages;
-          break;
-        case MessageType::kEntryBatch: {
-          ++stats->traffic.entry_messages;
-          auto count = EntryBatchCount(msg);
-          stats->traffic.batched_entries += count.ok() ? *count : 0;
-          break;
-        }
-        case MessageType::kDelete:
-        case MessageType::kDeleteRange:
-          ++stats->traffic.delete_messages;
-          break;
-        default:
-          ++stats->traffic.control_messages;
-          break;
-      }
-      // Attribute the bytes that actually travelled (encoded when the wire
-      // codec is on), not the decoded logical size.
-      stats->traffic.payload_bytes += raw.SerializedSize();
-      // Frames are a property of the whole burst; report the total.
-      stats->traffic.frames = total.frames;
-      stats->traffic.wire_bytes = total.wire_bytes;
-    }
-    if (msg.session_id != 0) {
-      // The group link is fault-free, so messages arrive in sequence order
-      // and apply directly; record the session's applied prefix so a later
-      // single-snapshot Refresh sees consistent session bookkeeping.
-      ApplySessionState& sess = group_site->sessions[msg.session_id];
-      sess.snapshot_id = msg.snapshot_id;
-      sess.last_applied_seq = msg.seq;
-      if (msg.type == MessageType::kEndOfRefresh) sess.end_applied = true;
-    }
-    RETURN_IF_ERROR(it->second->table->ApplyMessage(msg, stats));
+    RETURN_IF_ERROR(group_site->applier.Admit(raw, apply));
   }
   apply_span.Close();
 
-  if (group_encoder != nullptr) {
-    // The in-process group link is fault-free: everything sent has been
-    // applied, so every member stream commits.
-    for (size_t i = 0; i < entries.size(); ++i) {
-      group_encoder->CommitStream(entries[i]->descriptor.id,
-                                  sessions[i]->session_id());
+  // A member is refreshed only if its END applied; one that lost messages
+  // in transit keeps its old SnapTime, and the next refresh repairs it.
+  std::string incomplete;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const SnapshotId id = entries[i]->descriptor.id;
+    const uint64_t session_id = sessions[i].session_id();
+    if (!group_site->applier.Complete(id, session_id)) {
+      incomplete += " " + entries[i]->descriptor.name;
+      continue;
     }
+    group_site->applier.Retire(id);
+    if (group_encoder != nullptr) group_encoder->CommitStream(id, session_id);
+  }
+  if (!incomplete.empty()) {
+    return Status::Unavailable(
+        "group refresh lost messages in transit; incomplete:" + incomplete);
   }
 
   tracer_.End();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   // The per-member traffic attributions sum (via ChannelStats::operator+=)
   // to the burst's data-message totals; frames/wire_bytes are whole-burst
   // figures repeated per member, so the burst total is reported separately.
   ChannelStats attributed;
   for (SnapshotEntry* entry : entries) {
-    metric_refreshes_->Inc();
-    const std::string& name = entry->descriptor.name;
-    reg.GetCounter("snapshot." + name + ".refreshes")->Inc();
-    const int64_t staleness =
-        static_cast<int64_t>(base_oracle_.Current()) -
-        static_cast<int64_t>(entry->table->snap_time());
-    reg.GetGauge("snapshot." + name + ".staleness")->Set(staleness);
-    attributed += results[name].traffic;
+    CountRefresh(*entry);
+    attributed += results[entry->descriptor.name].traffic;
   }
   SNAPDIFF_LOG(Info) << "group refresh complete"
                      << obs::kv("members", entries.size())

@@ -23,9 +23,9 @@
 #include "snapshot/delta_cache.h"
 #include "snapshot/join_refresh.h"
 #include "snapshot/refresh_types.h"
+#include "snapshot/session_applier.h"
 #include "snapshot/snapshot_table.h"
 #include "storage/disk_manager.h"
-#include "txn/lock_manager.h"
 #include "txn/timestamp_oracle.h"
 #include "wal/log_manager.h"
 #include "wal/recovery.h"
@@ -170,6 +170,11 @@ class SnapshotSystem {
   /// when possible, resuming the interrupted session so only the unapplied
   /// suffix is retransmitted (RESUME_REFRESH negotiation on the demand
   /// link).
+  ///
+  /// The snapshot site is a client of the serve API below, exactly like a
+  /// RemoteSnapshotSite: each attempt is a demand, one ServeRefresh into
+  /// the site's link, the site's SessionApplier, and AcknowledgeServe once
+  /// the END applied.
   Result<RefreshReport> Refresh(const RefreshRequest& request);
 
   /// --- serving remote snapshot sites (see net/refresh_server.h) ---
@@ -183,9 +188,8 @@ class SnapshotSystem {
   /// tables stream concurrently; two of the same table queue, since they
   /// would race on fix-up writes and delta-cache fills). Writers never wait
   /// at all — each refresh reads a copy-on-write scan epoch
-  /// (BaseTable::OpenEpoch) under a shared table lock instead of holding
-  /// the exclusive one. serve_mutex() still guards the session and
-  /// snapshot registries themselves.
+  /// (BaseTable::OpenEpoch) instead of locking the table. serve_mutex()
+  /// still guards the session and snapshot registries themselves.
 
   /// What a remote client needs to attach to a snapshot.
   struct SnapshotWireInfo {
@@ -207,11 +211,16 @@ class SnapshotSystem {
   WireCodecStats WireEncoderStats() const;
 
   struct ServeRequest {
+    /// The serve a REFRESH_REQUEST / RESUME_REFRESH demand asks for, to
+    /// stream through `encoder` (null: canonical wire).
+    static ServeRequest FromDemand(const Message& demand,
+                                   WireEncoder* encoder);
+
     SnapshotId snapshot_id = 0;
     /// The client's SnapTime (kNullTimestamp before its first refresh).
     Timestamp client_snap_time = kNullTimestamp;
     /// Non-zero: RESUME of an interrupted serve session. If the session is
-    /// no longer live (superseded, lock stolen) the serve silently falls
+    /// no longer live (superseded or abandoned) the serve silently falls
     /// back to a fresh session — the client adopts the new session id from
     /// the arriving stream.
     uint64_t resume_session_id = 0;
@@ -249,7 +258,7 @@ class SnapshotSystem {
                                     MessageSink* wire);
 
   /// Commits the staged outcome of a served session (ideal shadow, log
-  /// position) and releases its scan epoch and shared lock. NotFound if
+  /// position) and releases its scan epoch. NotFound if
   /// the session is no longer live (already superseded); that is harmless
   /// — the superseding serve restaged from the uncommitted state.
   Status AcknowledgeServe(SnapshotId snapshot_id, uint64_t session_id);
@@ -315,7 +324,6 @@ class SnapshotSystem {
   DeltaCache* delta_cache() { return delta_cache_.get(); }
   LogManager* wal() { return wal_.get(); }
   TimestampOracle* base_oracle() { return &base_oracle_; }
-  LockManager* lock_manager() { return &locks_; }
   Catalog* base_catalog() { return &base_catalog_; }
 
   /// --- durability & crash simulation (file-backed base sites) ---
@@ -346,20 +354,6 @@ class SnapshotSystem {
   std::vector<std::string> SnapshotNames() const;
 
  private:
-  /// Snapshot-site bookkeeping for one refresh session: the durably applied
-  /// prefix (the resume checkpoint), messages that arrived ahead of a gap,
-  /// and whether the stream's END has been applied. Admission is strictly
-  /// in sequence order, which makes the applier idempotent under duplicate,
-  /// reordered, and re-transmitted delivery.
-  struct ApplySessionState {
-    SnapshotId snapshot_id = 0;
-    uint64_t last_applied_seq = 0;
-    bool end_applied = false;
-    uint64_t duplicates_dropped = 0;
-    /// Early arrivals, keyed by seq (map insertion dedups re-arrivals).
-    std::map<uint64_t, Message> held;
-  };
-
   /// One remote snapshot site: its own storage, catalog, clock, and link.
   struct SnapshotSite {
     SnapshotSite(size_t pool_pages, const ChannelOptions& channel_options)
@@ -372,15 +366,14 @@ class SnapshotSystem {
     Catalog catalog;
     TimestampOracle oracle;
     Channel channel;  // base → this site
-    /// Live refresh sessions, keyed by wire session id. A session for a
-    /// snapshot is pruned when a new session for that snapshot starts.
-    std::map<uint64_t, ApplySessionState> sessions;
     /// Compact-wire codec pair for this site's in-process link (created
     /// when wire_encoding is on): the encoder feeds the base side's
     /// RefreshSessions, the decoder restores canonical messages at the
     /// admission point.
     std::unique_ptr<WireEncoder> encoder;
     std::unique_ptr<WireDecoder> decoder;
+    /// Admits everything arriving on `channel`, decoding through `decoder`.
+    SessionApplier applier;
   };
 
   struct SnapshotEntry {
@@ -397,43 +390,31 @@ class SnapshotSystem {
   Result<BaseTable*> ResolveSource(const std::string& name);
   Result<SnapshotSite*> GetSite(const std::string& name);
 
-  /// --- snapshot-site applier (session-aware) ---
-
-  /// Receives and routes every pending message of one site's channel.
+  /// Receives every pending message of one site's link into its applier.
   /// Messages applied for the `attributed` snapshot (when non-null) are
-  /// metered into `stats`; `applied` (when non-null) counts messages
-  /// actually applied (duplicates and held early arrivals excluded).
+  /// metered into `stats`; messages of dropped snapshots are discarded.
   Status DeliverPending(SnapshotSite* site, const SnapshotEntry* attributed,
-                        RefreshStats* stats, uint64_t* applied = nullptr);
-  /// Routes one received message: session-less messages apply directly;
-  /// session messages are dedup'd, held, or admitted in sequence order.
-  Status DeliverMessage(SnapshotSite* site, const Message& msg,
-                        const SnapshotEntry* attributed, RefreshStats* stats,
-                        uint64_t* applied);
-  /// Applies one admitted message to its snapshot (dropped snapshots are
-  /// discarded silently, as before).
-  Status ApplyDelivered(const Message& msg, const SnapshotEntry* attributed,
-                        RefreshStats* stats, uint64_t* applied);
-  /// Forgets session state of superseded sessions for one snapshot.
-  void PruneSessions(SnapshotSite* site, SnapshotId snapshot_id);
-  /// Creates a site's codec pair when wire_encoding is on (the schema
-  /// resolver closes over the snapshot registry).
-  void AttachWireCodecs(SnapshotSite* site);
-  uint64_t SessionLastApplied(const SnapshotSite* site,
-                              uint64_t session_id) const;
-  bool SessionComplete(const SnapshotSite* site, uint64_t session_id) const;
+                        RefreshStats* stats);
 
-  /// One transmission attempt of `method` for `entry`, sending through
-  /// `session` when non-null, else directly into `wire` (the site channel
-  /// for in-process refreshes, the socket transport for served ones).
-  /// `tracer` may be null (serve path). Per-method state advances (ideal
-  /// shadow, log LSN) are staged on the descriptor, not committed.
-  /// `epoch` (may be null for joins/ASAP-flush) is the copy-on-write cut
-  /// the executors scan; the same epoch across attempts is what makes
+  /// ServeRefresh for the in-process client (Refresh): `local` carries the
+  /// call's method override and epoch hook, and only the local client may
+  /// re-stamp an ASAP snapshot. The executors trace into `tracer`. Fills
+  /// `outcome` on failure too (its session id names what to resume);
+  /// `outcome->stats` and `suppressed` accumulate across attempts.
+  Status ServeRefresh(const ServeRequest& request, MessageSink* wire,
+                      const RefreshRequest* local, obs::Tracer* tracer,
+                      ServeOutcome* outcome);
+
+  /// One transmission attempt of `method` for the non-join `entry`,
+  /// stamped by `session` on its way into `wire` (the site channel for
+  /// in-process refreshes, the socket transport for served ones). `tracer`
+  /// may be null. Per-method state advances (ideal shadow, log LSN) are
+  /// staged on the descriptor, not committed. `epoch` is the copy-on-write
+  /// cut the executors scan; the same epoch across attempts is what makes
   /// retries re-transmit the byte-identical stream while writers mutate.
   Status RunRefreshAttempt(SnapshotEntry* entry, RefreshMethod method,
                            Timestamp request_time,
-                           const RefreshRequest& request,
+                           const ServeRequest& request,
                            RefreshSession* session, MessageSink* wire,
                            obs::Tracer* tracer, RefreshStats* stats,
                            const std::shared_ptr<TableEpoch>& epoch);
@@ -454,16 +435,15 @@ class SnapshotSystem {
   /// Execution knobs for the refresh executors, derived from options_ with
   /// per-request overrides applied. First call resolving workers > 1
   /// constructs the shared pool.
-  RefreshExecution MakeRefreshExecution(const RefreshRequest& request,
-                                        RefreshSession* session);
-  RefreshExecution MakeRefreshExecution();
+  RefreshExecution MakeRefreshExecution(std::optional<size_t> workers = {},
+                                        std::optional<size_t> batch_size = {});
 
-  /// Ends the open trace and records the refresh in the metrics registry
-  /// (refresh counter + duration histogram, per-snapshot refresh counter
-  /// and staleness gauge).
-  void FinishRefreshTrace(const std::string& snapshot_name,
-                          const SnapshotDescriptor& desc,
-                          const SnapshotTable& snap,
+  /// Records one completed refresh of `entry` in the metrics registry
+  /// (refresh counters, staleness gauge).
+  void CountRefresh(const SnapshotEntry& entry);
+  /// Ends the open trace and records the refresh (CountRefresh plus the
+  /// duration histogram).
+  void FinishRefreshTrace(const SnapshotEntry& entry,
                           const RefreshStats& stats);
 
   SnapshotSystemOptions options_;
@@ -473,7 +453,6 @@ class SnapshotSystem {
   BufferPool base_pool_;
   Catalog base_catalog_;
   TimestampOracle base_oracle_;
-  LockManager locks_;
   std::unique_ptr<LogManager> wal_;
   std::unordered_map<std::string, std::unique_ptr<BaseTable>> base_tables_;
 
@@ -511,31 +490,25 @@ class SnapshotSystem {
   std::map<std::string, SnapshotEntry> snapshots_;
   std::unordered_map<SnapshotId, SnapshotEntry*> snapshots_by_id_;
   SnapshotId next_snapshot_id_ = 1;
-  // Wire-level session ids / lock-owner ids. Atomic: with per-table
-  // admission, serve threads for different tables mint them concurrently.
+  // Wire-level session ids. Atomic: with per-table admission, serve
+  // threads for different tables mint them concurrently.
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<TxnId> refresh_txn_{1u << 20};
 
   /// One live served refresh session: the scan epoch keeping the cut
-  /// frozen between the stream and the client's ack (or resume), the
-  /// shared-lock owner, and the request parameters a byte-identical re-run
-  /// needs. Writers mutate the live table freely the whole time; the epoch
-  /// alone pins the pages a RESUME re-reads.
+  /// frozen between the stream and the client's ack (or resume), and the
+  /// request parameters a byte-identical re-run needs. Writers mutate the
+  /// live table freely the whole time; the epoch alone pins the pages a
+  /// RESUME re-reads.
   struct ServeSession {
-    SnapshotId snapshot_id = 0;
-    TxnId txn = 0;
+    uint64_t session_id = 0;
     RefreshMethod method = RefreshMethod::kDifferential;
     Timestamp request_time = kNullTimestamp;
     std::shared_ptr<TableEpoch> epoch;
   };
-  /// Releases the session's lock + epoch and discards its staged outcome.
+  /// Releases the snapshot's live session — only if it is `session_id`,
+  /// when non-zero — with its epoch, and discards its staged outcome.
   /// Caller holds serve_mu_.
-  void EvictServeSession(uint64_t session_id);
-  /// Evicts every live serve session reading from `source` (steal on
-  /// conflict with an exclusive holder: a dangling session's client
-  /// re-demands a fresh full stream when it eventually resumes). Caller
-  /// holds serve_mu_.
-  void EvictServeSessionsForSource(const BaseTable* source);
+  void EvictServeSession(SnapshotId snapshot_id, uint64_t session_id = 0);
 
   /// --- per-table refresh admission ---
   ///
@@ -549,30 +522,14 @@ class SnapshotSystem {
   /// never deadlock against a queued admission.
   class AdmissionGuard {
    public:
-    AdmissionGuard() = default;
     AdmissionGuard(SnapshotSystem* sys, std::vector<TableId> tables)
         : sys_(sys), tables_(std::move(tables)) {}
-    AdmissionGuard(AdmissionGuard&& o) noexcept
-        : sys_(o.sys_), tables_(std::move(o.tables_)) {
-      o.sys_ = nullptr;
-    }
-    /// Move-assign releases the current admission (only ever assigned into
-    /// an empty guard in practice).
-    AdmissionGuard& operator=(AdmissionGuard&& o) noexcept {
-      if (this != &o) {
-        if (sys_ != nullptr && !tables_.empty()) {
-          sys_->ReleaseAdmission(tables_);
-        }
-        sys_ = o.sys_;
-        tables_ = std::move(o.tables_);
-        o.sys_ = nullptr;
-      }
-      return *this;
-    }
-    ~AdmissionGuard();
+    AdmissionGuard(const AdmissionGuard&) = delete;
+    AdmissionGuard& operator=(const AdmissionGuard&) = delete;
+    ~AdmissionGuard() { sys_->ReleaseAdmission(tables_); }
 
    private:
-    SnapshotSystem* sys_ = nullptr;
+    SnapshotSystem* sys_;
     std::vector<TableId> tables_;
   };
   /// Admits a refresh over `tables` (sorted + deduped internally so
@@ -589,7 +546,8 @@ class SnapshotSystem {
   obs::Gauge* metric_refreshes_concurrent_;
 
   std::mutex serve_mu_;
-  std::map<uint64_t, ServeSession> serve_sessions_;
+  /// At most one live session per snapshot: a fresh serve supersedes.
+  std::map<SnapshotId, ServeSession> serve_sessions_;
 };
 
 }  // namespace snapdiff

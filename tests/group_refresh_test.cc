@@ -156,6 +156,27 @@ TEST_F(GroupRefreshTest, GroupMixedWithSingleRefreshes) {
   }
 }
 
+TEST_F(GroupRefreshTest, LossyLinkFailsLoudlyAndNextGroupRepairs) {
+  ASSERT_TRUE(sys_.RefreshGroup({"low", "mid", "high"}).ok());
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Mutate(seed);
+    // A member whose stream lost a message never applies its END: the
+    // group must report that instead of success over a diverged replica.
+    sys_.data_channel()->Arm(FaultPlan::DropEvery(5));
+    auto lossy = sys_.RefreshGroup({"low", "mid", "high"});
+    EXPECT_TRUE(lossy.status().IsUnavailable()) << lossy.status().ToString();
+    sys_.data_channel()->Heal();
+    // The incomplete members kept their old SnapTime, so a clean group
+    // refresh re-sends everything they missed.
+    auto repaired = sys_.RefreshGroup({"low", "mid", "high"});
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    for (const std::string name : {"low", "mid", "high"}) {
+      ExpectFaithful(&sys_, name);
+    }
+  }
+}
+
 TEST_F(GroupRefreshTest, ValidationErrors) {
   EXPECT_TRUE(sys_.RefreshGroup({}).status().IsInvalidArgument());
   EXPECT_TRUE(sys_.RefreshGroup({"nope"}).status().IsNotFound());

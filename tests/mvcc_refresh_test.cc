@@ -16,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -309,6 +313,111 @@ TEST(MvccRefreshTest, SkippedFixupsAreCountedAndRepairedNextRound) {
   ASSERT_TRUE(s.sys.Refresh(RefreshRequest::For("snap")).ok());
   EXPECT_TRUE(ValidateAnnotationChain(s.base).ok());
   ExpectFaithful(&s.sys);
+}
+
+/// Holds a refresh inside its on_epoch_open hook until released.
+class EpochPark {
+ public:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+/// Serves one refresh of `name` on another thread, the way a refresh
+/// server's connection thread does, into a link that thread owns.
+std::future<Status> ServeOnAnotherThread(SnapshotSystem* sys,
+                                         const std::string& name) {
+  return std::async(std::launch::async, [sys, name]() -> Status {
+    ASSIGN_OR_RETURN(SnapshotSystem::SnapshotWireInfo info,
+                     sys->DescribeSnapshot(name));
+    SnapshotSystem::ServeRequest request;
+    request.snapshot_id = info.id;
+    Channel link;
+    ASSIGN_OR_RETURN(SnapshotSystem::ServeOutcome served,
+                     sys->ServeRefresh(request, &link));
+    return sys->AcknowledgeServe(info.id, served.session_id);
+  });
+}
+
+/// Refreshes "a" (on emp) with the refresh parked at its epoch while
+/// `probe` runs, then releases it; the parked refresh must succeed.
+template <typename Probe>
+void WithRefreshParkedAtEpoch(SnapshotSystem* sys, Probe probe) {
+  EpochPark park;
+  RefreshRequest request = RefreshRequest::For("a");
+  request.on_epoch_open = [&park] { park.Park(); };
+  std::future<Result<RefreshReport>> first = std::async(
+      std::launch::async, [sys, &request] { return sys->Refresh(request); });
+  park.AwaitParked();
+  probe();
+  park.Release();
+  Result<RefreshReport> report = first.get();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+}
+
+// Per-table admission is what serializes refreshes now that no table lock
+// exists: a refresh parked at its epoch keeps a second refresh of the same
+// base table out, while a refresh of another table streams alongside it.
+TEST(MvccRefreshTest, AdmissionSerializesRefreshesPerBaseTable) {
+  SnapshotSystem sys;
+  for (const char* table : {"emp", "dept"}) {
+    auto base = sys.CreateBaseTable(table, EmpSchema());
+    ASSERT_TRUE(base.ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*base)->Insert(Row(Name('e', i), i)).ok());
+    }
+  }
+  ASSERT_TRUE(sys.CreateSnapshot("a", "emp", "Salary < 30").ok());
+  ASSERT_TRUE(sys.CreateSnapshot("b", "emp", "Salary >= 30").ok());
+  ASSERT_TRUE(sys.CreateSnapshot("c", "dept", "Salary < 30").ok());
+  ASSERT_EQ(sys.refreshes_concurrent_high_water(), 0u);
+
+  // Same table: the second refresh queues at admission, before its epoch,
+  // and only runs once the parked one has released the table.
+  std::future<Status> same;
+  WithRefreshParkedAtEpoch(&sys, [&] {
+    same = ServeOnAnotherThread(&sys, "b");
+    EXPECT_EQ(same.wait_for(std::chrono::milliseconds(200)),
+              std::future_status::timeout)
+        << "a refresh of the same table overtook the parked one";
+  });
+  Status same_status = same.get();
+  EXPECT_TRUE(same_status.ok()) << same_status.ToString();
+  EXPECT_EQ(sys.refreshes_concurrent_high_water(), 1u);
+
+  // Different table: admitted while the first is still parked.
+  WithRefreshParkedAtEpoch(&sys, [&] {
+    std::future<Status> other = ServeOnAnotherThread(&sys, "c");
+    ASSERT_EQ(other.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready)
+        << "a refresh of another table waited for the parked one";
+    Status other_status = other.get();
+    EXPECT_TRUE(other_status.ok()) << other_status.ToString();
+  });
+  EXPECT_EQ(sys.refreshes_concurrent_high_water(), 2u);
+
+  auto expected = sys.ExpectedContents("a");
+  auto actual = (*sys.GetSnapshot("a"))->Contents();
+  ASSERT_TRUE(expected.ok() && actual.ok());
+  EXPECT_EQ(actual->size(), expected->size());
 }
 
 }  // namespace

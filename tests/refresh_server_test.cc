@@ -331,9 +331,8 @@ TEST(RefreshServerTest, ResumeOfEvictedSessionFallsBackToFreshServe) {
   auto a_outcome = sys.ServeRefresh(a_request, &a_wire);
   ASSERT_TRUE(a_outcome.ok());
 
-  // Serving B over the same base table no longer steals anything: A's
-  // dangling session holds an epoch and a shared lock, not the exclusive
-  // table lock, so B streams right past it.
+  // Serving B over the same base table steals nothing: A's dangling
+  // session holds only its scan epoch, so B streams right past it.
   Channel b_wire;
   SnapshotSystem::ServeRequest b_request;
   b_request.snapshot_id = b_info->id;

@@ -429,29 +429,6 @@ TEST(SnapshotSystemTest, TinyBufferPoolsStayFaithful) {
   }
 }
 
-TEST(SnapshotSystemTest, RefreshLockConflictsWithExclusiveHolder) {
-  SnapshotSystem sys;
-  auto base = sys.CreateBaseTable("emp", EmpSchema());
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE((*base)->Insert(Row("x", 1)).ok());
-  ASSERT_TRUE(sys.CreateSnapshot("low", "emp", "Salary < 10").ok());
-  // An exclusive holder (an admin operation) still blocks the refresh's
-  // shared acquisition...
-  ASSERT_TRUE(
-      sys.lock_manager()->Acquire(999, (*base)->info()->id,
-                                  LockMode::kExclusive).ok());
-  EXPECT_TRUE(sys.Refresh(RefreshRequest::For("low")).status().IsAborted());
-  ASSERT_TRUE(sys.lock_manager()->Release(999, (*base)->info()->id).ok());
-  // ...but a *shared* holder no longer does: the refresh reads a scan
-  // epoch under a shared lock instead of demanding the exclusive one.
-  ASSERT_TRUE(
-      sys.lock_manager()->Acquire(999, (*base)->info()->id,
-                                  LockMode::kShared).ok());
-  ASSERT_TRUE(sys.Refresh(RefreshRequest::For("low")).ok());
-  ASSERT_TRUE(sys.lock_manager()->Release(999, (*base)->info()->id).ok());
-  ExpectFaithful(&sys, "low");
-}
-
 // ---------------------------------------------------------------------------
 // Property sweep: every refresh method stays faithful under randomized
 // workloads across placement policies.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/disk_manager.h"
-#include "txn/lock_manager.h"
 #include "txn/timestamp_oracle.h"
 
 namespace snapdiff {
@@ -48,68 +47,6 @@ TEST(TimestampOracleTest, RecoverWithoutCheckpointFails) {
   ASSERT_TRUE(page.ok());
   EXPECT_TRUE(
       TimestampOracle::Recover(&disk, *page).status().IsCorruption());
-}
-
-TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.HoldsLock(1, 10));
-  EXPECT_TRUE(lm.HoldsLock(2, 10));
-}
-
-TEST(LockManagerTest, ExclusiveConflicts) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kShared).IsAborted());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kExclusive).IsAborted());
-  EXPECT_EQ(lm.stats().conflicts, 2u);
-  // Different table is fine.
-  EXPECT_TRUE(lm.Acquire(2, 11, LockMode::kExclusive).ok());
-}
-
-TEST(LockManagerTest, SharedBlocksExclusive) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kExclusive).IsAborted());
-}
-
-TEST(LockManagerTest, ReentrantAndUpgrade) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  // Sole holder upgrades.
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kExclusive).ok());
-  EXPECT_EQ(lm.stats().upgrades, 1u);
-  // Exclusive is re-entrant for shared requests.
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-}
-
-TEST(LockManagerTest, UpgradeWithOtherHoldersAborts) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kExclusive).IsAborted());
-}
-
-TEST(LockManagerTest, ReleaseFreesLock) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Release(1, 10).ok());
-  EXPECT_FALSE(lm.IsLocked(10));
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Release(1, 10).IsNotFound());
-}
-
-TEST(LockManagerTest, ReleaseAll) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, 10, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(1, 11, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(2, 10, LockMode::kShared).ok());
-  lm.ReleaseAll(1);
-  EXPECT_FALSE(lm.HoldsLock(1, 10));
-  EXPECT_FALSE(lm.HoldsLock(1, 11));
-  EXPECT_TRUE(lm.HoldsLock(2, 10));
 }
 
 }  // namespace
