@@ -21,6 +21,14 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
+/// Refresh streams are many small framed messages; don't let Nagle batch
+/// them against the peer's delayed-ACK clock. Applies to both ends of a TCP
+/// connection; unix sockets have no Nagle.
+void DisableNagle(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 Result<ParsedAddr> ParseAddr(const std::string& addr) {
@@ -138,8 +146,14 @@ Result<std::string> BoundAddr(int listen_fd) {
 
 Result<int> Accept(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return fd;
+    sockaddr_storage peer;
+    socklen_t len = sizeof(peer);
+    const int fd =
+        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
+    if (fd >= 0) {
+      if (peer.ss_family == AF_INET) DisableNagle(fd);
+      return fd;
+    }
     if (errno == EINTR) continue;
     return Status::Unavailable(Errno("accept"));
   }
@@ -160,12 +174,7 @@ Result<int> Connect(const std::string& addr) {
     ::close(fd);
     return Status::Unavailable(err);
   }
-  if (!parsed.is_unix) {
-    // Refresh streams are many small framed messages; don't let Nagle
-    // batch them against the ACK clock.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  if (!parsed.is_unix) DisableNagle(fd);
   return fd;
 }
 

@@ -38,10 +38,11 @@ Result<int> Listen(const std::string& addr, int backlog);
 /// or "unix:/path") — what clients should dial after listening on port 0.
 Result<std::string> BoundAddr(int listen_fd);
 
-/// Blocking accept. Unavailable when the listener was shut down.
+/// Blocking accept. Unavailable when the listener was shut down. An
+/// accepted TCP connection has Nagle disabled (TCP_NODELAY), like Connect's.
 Result<int> Accept(int listen_fd);
 
-/// Blocking connect to a ParseAddr-style address.
+/// Blocking connect to a ParseAddr-style address (TCP_NODELAY on TCP).
 Result<int> Connect(const std::string& addr);
 
 /// Wakes threads blocked in ReadMessage/Accept on `fd`, then closes it.

@@ -54,10 +54,14 @@ Status DeltaCache::ServeGroup(const BaseTable& base,
   // Per-target replay state: the image cursor plus Figure 3's transmit
   // state (LastQual, Deletion flag).
   struct Replay {
-    Image::const_iterator it;
-    Image::const_iterator end;
+    const Image* image = nullptr;
+    size_t next = 0;  // first row not yet replayed
     Address lq = Address::Origin();
     bool deletion = false;
+
+    const Row* head() const {
+      return next < image->rows.size() ? &image->rows[next] : nullptr;
+    }
   };
   std::vector<Replay> replays;
   replays.reserve(targets->size());
@@ -73,8 +77,7 @@ Status DeltaCache::ServeGroup(const BaseTable& base,
     ++stats_.hits;
     metric_hits_->Inc();
     t.stats->served_from_cache = true;
-    replays.push_back(
-        Replay{cls.image.begin(), cls.image.end(), Address::Origin(), false});
+    replays.push_back(Replay{&cls.image, 0, Address::Origin(), false});
   }
 
   // Figure 3's BaseRefresh transmit rule, replayed over the images instead
@@ -94,14 +97,16 @@ Status DeltaCache::ServeGroup(const BaseTable& base,
   while (true) {
     Address addr = Address::Null();
     for (const Replay& r : replays) {
-      if (r.it != r.end && r.it->first < addr) addr = r.it->first;
+      const Row* head = r.head();
+      if (head != nullptr && head->addr < addr) addr = head->addr;
     }
     if (addr == Address::Null()) break;
     for (size_t i = 0; i < replays.size(); ++i) {
       Replay& r = replays[i];
-      if (r.it == r.end || !(r.it->first == addr)) continue;
-      const RowState& row = r.it->second;
-      ++r.it;
+      const Row* head = r.head();
+      if (head == nullptr || !(head->addr == addr)) continue;
+      const Row& row = *head;
+      ++r.next;
       ServeTarget& t = (*targets)[i];
       if (row.qualified) {
         if (row.ts > t.snap_time || r.deletion) {
@@ -110,7 +115,7 @@ Status DeltaCache::ServeGroup(const BaseTable& base,
           if (t.desc->anchor_optimization && value_unchanged) {
             ++t.stats->anchor_messages;
           } else if (!NextSendSuppressed(exec)) {
-            payload = row.payload;
+            payload = r.image->payload(row);
           }
           RETURN_IF_ERROR(t.sink->Send(
               MakeEntry(t.desc->id, addr, r.lq, std::move(payload))));
@@ -138,12 +143,24 @@ DeltaCache::Filler::~Filler() {
   if (cache_ != nullptr && pinned_) cache_->Unpin(key_);
 }
 
+const DeltaCache::Row* DeltaCache::Filler::SeekPrior(Address addr) {
+  if (prior_ == nullptr) return nullptr;
+  const std::vector<Row>& rows = prior_->rows;
+  while (cursor_ < rows.size() && rows[cursor_].addr < addr) ++cursor_;
+  if (cursor_ == rows.size() || !(rows[cursor_].addr == addr)) return nullptr;
+  return &rows[cursor_];
+}
+
 void DeltaCache::Filler::Observe(Address addr, Timestamp ts, bool qualified,
-                                 bool unchanged, std::string payload) {
+                                 bool unchanged, std::string_view payload) {
   if (failed_) return;
-  RowState row;
-  row.ts = ts;
-  row.qualified = qualified;
+  // The image is built by appending, and both the replay and the reuse
+  // cursor rely on address order: a scan that does not walk strictly
+  // upwards cannot fill it.
+  if (!image_.rows.empty() && !(image_.rows.back().addr < addr)) {
+    failed_ = true;
+    return;
+  }
   if (unchanged) {
     ++reused_;
     if (qualified) {
@@ -151,23 +168,23 @@ void DeltaCache::Filler::Observe(Address addr, Timestamp ts, bool qualified,
       // hold this row with this payload. A miss here means the caller's
       // reuse condition and the cache's epoch bookkeeping disagree — refuse
       // the fill rather than serve a stream that could diverge.
-      if (prior_ == nullptr) {
+      const Row* prior = SeekPrior(addr);
+      if (prior == nullptr || !prior->qualified) {
         failed_ = true;
         return;
       }
-      auto it = prior_->find(addr);
-      if (it == prior_->end() || !it->second.qualified) {
-        failed_ = true;
-        return;
-      }
-      row.payload = it->second.payload;
+      payload = prior_->payload(*prior);
     }
   } else {
     ++changed_;
-    if (qualified) row.payload = std::move(payload);
   }
-  bytes_ += kRowOverhead + row.payload.size();
-  image_.emplace(addr, std::move(row));
+  Row row{addr, ts, image_.arena.size(), 0, qualified};
+  if (qualified) {
+    row.len = static_cast<uint32_t>(payload.size());
+    image_.arena.append(payload);
+  }
+  bytes_ += kRowOverhead + row.len;
+  image_.rows.push_back(row);
 }
 
 std::unique_ptr<DeltaCache::Filler> DeltaCache::BeginFill(
@@ -182,6 +199,10 @@ std::unique_ptr<DeltaCache::Filler> DeltaCache::BeginFill(
   if (it != classes_.end() && !it->second.epochs.empty()) {
     f->prior_ = &it->second.image;
     f->floor_ = it->second.epochs.back().upper;
+    // The table rarely changes size much between epochs: size the new
+    // image like the old one so the fill appends without regrowing.
+    f->image_.rows.reserve(f->prior_->rows.size());
+    f->image_.arena.reserve(f->prior_->arena.size());
     // Pin the borrowed image: a concurrent fill of another table must not
     // evict it while this scan reads reuse payloads from it.
     ++it->second.fill_pins;
@@ -302,8 +323,9 @@ std::string DeltaCache::DebugString() const {
          " aborted=" + std::to_string(s.aborted_fills) + "\n";
   for (const auto& [key, cls] : classes_) {
     out += "  [table " + std::to_string(key.table_id) + "] \"" +
-           key.restriction_text + "\": " + std::to_string(cls.image.size()) +
-           " rows, " + std::to_string(cls.bytes) + " bytes, epochs";
+           key.restriction_text +
+           "\": " + std::to_string(cls.image.rows.size()) + " rows, " +
+           std::to_string(cls.bytes) + " bytes, epochs";
     for (const Epoch& e : cls.epochs) {
       out += " (" + std::to_string(e.lower) + "," + std::to_string(e.upper) +
              "]";

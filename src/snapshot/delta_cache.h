@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -45,24 +46,33 @@ struct DeltaCacheKey {
 /// differential stream a fresh rescan would transmit to a subscriber at
 /// SnapTime T is a pure function of the live rows' (address, timestamp,
 /// qualified, projected payload) sequence. The cache therefore keeps, per
-/// snapshot class, that sequence as a *class image*: an address-ordered map
-/// folding every cached epoch last-writer-wins (a later epoch's observation
-/// of a row replaces the earlier one's; rows deleted in a later epoch drop
-/// out of the map and survive only as the successor's repaired timestamp,
-/// exactly as on the base table itself).
+/// snapshot class, that sequence as a *class image*: a flat array of rows
+/// sorted by address plus one payload arena, folding every cached epoch
+/// last-writer-wins (a later epoch's observation of a row replaces the
+/// earlier one's; rows deleted in a later epoch drop out of the array and
+/// survive only as the successor's repaired timestamp, exactly as on the
+/// base table itself).
 ///
 /// Serving SnapTime T replays the paper's Figure 3 transmit rule over the
 /// image — qualified rows send iff TimeStamp > T or a deletion gap is open;
 /// unqualified rows with TimeStamp > T raise the Deletion flag — which is
 /// byte-for-byte the stream the rescan would emit, for *any* T, without
-/// touching a single base page.
+/// touching a single base page. A serve is one linear walk of the array;
+/// it copies a payload out of the arena only for the rows it sends.
 ///
 /// Validity: an image is serveable only while the base table is unchanged
 /// since the epoch that filled it (BaseTable::mutation_tick compare). Any
 /// base mutation invalidates; the next refresh falls back to the scan and
-/// re-fills as a side effect. Fills reuse unchanged rows' payloads from the
-/// previous image (the incremental "merge epochs" step), so a fill after k
-/// updates copies k fresh payloads plus pointers, not the whole table.
+/// re-fills as a side effect. A fill appends one row per live base row, in
+/// the scan's address order, to a new array and arena: rows that changed
+/// since the previous image bring a freshly serialized payload, unchanged
+/// rows have their payload bytes copied over from the previous image, found
+/// by a forward cursor that walks it in step with the scan (a merge of the
+/// two address-ordered sequences, no search). The previous image is only
+/// read, so an abandoned fill leaves it intact for the next one. A fill
+/// that observes an address not strictly above its predecessor, or an
+/// unchanged qualified row the previous image does not hold, is discarded
+/// at CommitFill.
 ///
 /// Memory is bounded by a byte budget with LRU class eviction; evicted
 /// classes fall back to rescan, metered ("snapshot.delta_cache.*" counters,
@@ -95,12 +105,25 @@ class DeltaCache {
  private:
   /// One live row as the differential stream cares about it. Unqualified
   /// rows are kept too: their fresh timestamps raise the Deletion flag.
-  struct RowState {
+  /// The projected payload is the image arena's bytes [off, off + len);
+  /// empty if unqualified.
+  struct Row {
+    Address addr;
     Timestamp ts = kNullTimestamp;
+    size_t off = 0;
+    uint32_t len = 0;
     bool qualified = false;
-    std::string payload;  // projected user columns; empty if unqualified
   };
-  using Image = std::map<Address, RowState>;
+  /// A class image: rows in strictly increasing address order, their
+  /// payloads back to back in one arena. No per-row allocation.
+  struct Image {
+    std::vector<Row> rows;
+    std::string arena;
+
+    std::string_view payload(const Row& row) const {
+      return std::string_view(arena.data() + row.off, row.len);
+    }
+  };
 
  public:
   static DeltaCacheKey KeyFor(const BaseTable& base,
@@ -156,16 +179,21 @@ class DeltaCache {
     /// nothing can be reused.
     Timestamp reuse_floor() const { return floor_; }
 
-    /// One live row, in address order: its post-fixup timestamp, the class
-    /// predicate's verdict, and — unless `unchanged` — its projected
-    /// payload (required iff qualified). `unchanged=true` reuses the
-    /// payload stored by the previous image.
+    /// One live row, in strictly increasing address order: its post-fixup
+    /// timestamp, the class predicate's verdict, and — unless `unchanged` —
+    /// its projected payload (required iff qualified; copied, so the caller
+    /// may reuse the buffer). `unchanged=true` reuses the payload stored by
+    /// the previous image.
     void Observe(Address addr, Timestamp ts, bool qualified, bool unchanged,
-                 std::string payload);
+                 std::string_view payload);
 
    private:
     friend class DeltaCache;
     Filler() = default;
+
+    /// The previous image's row at `addr`, or null. Advances the merge
+    /// cursor, so successive calls must ask for increasing addresses.
+    const Row* SeekPrior(Address addr);
 
     DeltaCacheKey key_;
     DeltaCache* cache_ = nullptr;       // for the abandon-unpin path
@@ -173,6 +201,7 @@ class DeltaCache {
     Timestamp floor_ = kNullTimestamp;  // previous image's epoch upper bound
     Timestamp upper_ = kNullTimestamp;  // this scan's FixupTime
     const Image* prior_ = nullptr;      // previous image, borrowed; may be 0
+    size_t cursor_ = 0;                 // merge-walk position in prior_->rows
     Image image_;                       // image under construction
     size_t bytes_ = 0;
     uint64_t changed_ = 0;
@@ -217,8 +246,9 @@ class DeltaCache {
     uint64_t fill_pins = 0;  // open fills borrowing this image; not evictable
   };
 
-  // Accounting constants: map-node + RowState bookkeeping per row, string
-  // storage on top.
+  // Accounting constants: a fixed charge per row (the Row entry plus vector
+  // slack, rounded up; budgets are configured in these units), payload bytes
+  // on top.
   static constexpr size_t kRowOverhead = 64;
   static constexpr size_t kEpochLedger = 16;  // retained ledger entries
 

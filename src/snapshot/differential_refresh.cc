@@ -5,6 +5,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -368,23 +369,25 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
   return base->ScanAnnotatedRange(part, visit);
 }
 
-/// Feeds one fixed-up row into every pending cache fill. `payload_of(rep)`
-/// yields the serialized projection for the class representative (called
-/// only when the row changed and qualifies).
-template <typename PayloadOf>
+/// Feeds one fixed-up row into every pending cache fill. `qualified_of(k)`
+/// is fill k's class verdict for the row; `payload_of(rep)` yields the
+/// serialized projection for the class representative (called only when
+/// the row changed and qualifies; the view need only live until Observe
+/// copies it).
+template <typename QualifiedOf, typename PayloadOf>
 Status ObserveFills(std::vector<FillTarget>* fills, const FixupResult& fix,
                     Address addr, Address stored_prev, Timestamp stored_ts,
-                    uint64_t qualified_bits, PayloadOf&& payload_of) {
-  for (FillTarget& f : *fills) {
-    const bool qualified = ((qualified_bits >> f.rep) & 1) != 0;
+                    QualifiedOf&& qualified_of, PayloadOf&& payload_of) {
+  for (size_t k = 0; k < fills->size(); ++k) {
+    FillTarget& f = (*fills)[k];
+    const bool qualified = qualified_of(k);
     const bool unchanged =
         FillRowUnchanged(fix, stored_prev, stored_ts, f.filler->reuse_floor());
-    std::string payload;
+    std::string_view payload;
     if (!unchanged && qualified) {
       ASSIGN_OR_RETURN(payload, payload_of(f.rep));
     }
-    f.filler->Observe(addr, fix.ts, qualified, unchanged,
-                      std::move(payload));
+    f.filler->Observe(addr, fix.ts, qualified, unchanged, payload);
   }
   return Status::OK();
 }
@@ -579,14 +582,15 @@ Status ExecuteGroupDifferentialRefresh(
         // Fills first: ProcessRow may move the payload the fill copies.
         RETURN_IF_ERROR(ObserveFills(
             &fills, fix, er.addr, er.stored_prev, er.stored_ts,
-            er.qualified, [&er](size_t rep) -> Result<std::string> {
+            [&](size_t k) { return ((er.qualified >> fills[k].rep) & 1) != 0; },
+            [&er](size_t rep) -> Result<std::string_view> {
               if (((er.has_payload | er.fill_payload) >> rep & 1) == 0) {
                 // Unreachable: the worker's reuse test only skips rows the
                 // merge also classifies unchanged.
                 return Status::Internal(
                     "parallel extraction missed a fill payload");
               }
-              return er.payloads[rep];  // copy: the transmit may move it
+              return std::string_view(er.payloads[rep]);
             }));
         RETURN_IF_ERROR(ProcessRow(
             fix, &states, senders, exec, er.addr, er.stored_prev,
@@ -617,6 +621,15 @@ Status ExecuteGroupDifferentialRefresh(
   } else {
     // --- Sequential path: the paper's single combined scan. ---
     obs::Tracer::Span scan_span(tracer, "scan+transmit");
+    // Each fill needs its class representative's verdict even for rows the
+    // transmit rule skips. It is evaluated once per row, up front, and the
+    // transmit rule reads it back for the representative instead of
+    // evaluating the predicate again; other members evaluate their own.
+    constexpr size_t kNoFill = SIZE_MAX;
+    std::vector<size_t> fill_of_member(states.size(), kNoFill);
+    for (size_t k = 0; k < fills.size(); ++k) fill_of_member[fills[k].rep] = k;
+    std::vector<uint8_t> fill_qualified(fills.size(), 0);
+    std::string fill_payload;  // reused serialization buffer for fills
     auto visit_row =
         [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
           const FixupResult fix =
@@ -629,30 +642,31 @@ Status ExecuteGroupDifferentialRefresh(
                      : std::string()});
           }
           if (!fills.empty()) {
-            // The fill needs each class representative's verdict even for
-            // rows the transmit rule skips; re-evaluating here keeps the
-            // fill-free scan untouched.
-            uint64_t qualified_bits = 0;
-            for (const FillTarget& f : fills) {
+            for (size_t k = 0; k < fills.size(); ++k) {
               ASSIGN_OR_RETURN(
                   const bool qualified,
-                  EvaluatePredicate(*states[f.rep].member.desc->restriction,
-                                    row.user, base->user_schema()));
-              if (qualified) qualified_bits |= uint64_t{1} << f.rep;
+                  EvaluatePredicate(
+                      *states[fills[k].rep].member.desc->restriction,
+                      row.user, base->user_schema()));
+              fill_qualified[k] = qualified ? 1 : 0;
             }
             RETURN_IF_ERROR(ObserveFills(
                 &fills, fix, addr, row.prev_addr, row.timestamp,
-                qualified_bits, [&](size_t rep) -> Result<std::string> {
-                  std::string payload;
+                [&](size_t k) { return fill_qualified[k] != 0; },
+                [&](size_t rep) -> Result<std::string_view> {
+                  fill_payload.clear();
                   RETURN_IF_ERROR(row.user.AppendProjectionTo(
-                      states[rep].projection_indices, &payload));
-                  return payload;
+                      states[rep].projection_indices, &fill_payload));
+                  return std::string_view(fill_payload);
                 }));
           }
           return ProcessRow(
               fix, &states, senders, exec, addr, row.prev_addr,
               row.timestamp,
               [&](size_t i) -> Result<bool> {
+                if (fill_of_member[i] != kNoFill) {
+                  return fill_qualified[fill_of_member[i]] != 0;
+                }
                 return EvaluatePredicate(*states[i].member.desc->restriction,
                                          row.user, base->user_schema());
               },

@@ -169,7 +169,7 @@ Result<const LogRecord*> LogManager::Get(Lsn lsn) const {
   if (lsn == kInvalidLsn || lsn > base_lsn_ + records_.size()) {
     return Status::NotFound("no record with lsn " + std::to_string(lsn));
   }
-  if (lsn <= base_lsn_ + truncated_) {
+  if (lsn <= base_lsn_) {
     return Status::NotFound("lsn " + std::to_string(lsn) + " truncated");
   }
   return &records_[lsn - base_lsn_ - 1];
@@ -178,8 +178,7 @@ Result<const LogRecord*> LogManager::Get(Lsn lsn) const {
 std::vector<const LogRecord*> LogManager::Scan(Lsn from_lsn) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const LogRecord*> out;
-  const size_t local_from = from_lsn > base_lsn_ ? from_lsn - base_lsn_ : 0;
-  const size_t start = std::max<size_t>(local_from, truncated_);
+  const size_t start = from_lsn > base_lsn_ ? from_lsn - base_lsn_ : 0;
   for (size_t i = start; i < records_.size(); ++i) {
     out.push_back(&records_[i]);
   }
@@ -189,7 +188,7 @@ std::vector<const LogRecord*> LogManager::Scan(Lsn from_lsn) const {
 Result<std::map<Address, NetChange>> LogManager::CollectCommittedChanges(
     TableId table, Lsn from_lsn, CullStats* stats, Lsn end_lsn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (from_lsn < base_lsn_ + truncated_) {
+  if (from_lsn < base_lsn_) {
     return Status::OutOfRange(
         "log truncated past requested start lsn " + std::to_string(from_lsn) +
         "; full refresh required");
@@ -207,7 +206,7 @@ Result<std::map<Address, NetChange>> LogManager::CollectCommittedChanges(
   // at or before the cut). A transaction's changes count once its commit
   // record exists anywhere in the retained, visible log.
   std::unordered_set<TxnId> committed;
-  for (size_t i = truncated_; i < local_end; ++i) {
+  for (size_t i = 0; i < local_end; ++i) {
     if (records_[i].type == LogRecordType::kCommit) {
       committed.insert(records_[i].txn_id);
     }
@@ -284,27 +283,18 @@ Result<std::map<Address, NetChange>> LogManager::CollectCommittedChanges(
 
 void LogManager::Truncate(Lsn up_to) {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t local_up_to = up_to > base_lsn_ ? up_to - base_lsn_ : 0;
-  if (local_up_to <= truncated_) return;
+  if (up_to <= base_lsn_) return;
   metric_truncations_->Inc();
   SNAPDIFF_LOG(Debug) << "wal truncate" << obs::kv("up_to", up_to);
-  const size_t new_truncated = std::min<size_t>(local_up_to, records_.size());
-  // Free the payloads but keep the slots so LSN arithmetic stays simple.
-  for (size_t i = truncated_; i < new_truncated; ++i) {
-    records_[i].before.clear();
-    records_[i].before.shrink_to_fit();
-    records_[i].after.clear();
-    records_[i].after.shrink_to_fit();
-  }
-  truncated_ = new_truncated;
+  const size_t drop = std::min<size_t>(up_to - base_lsn_, records_.size());
+  records_.erase(records_.begin(), records_.begin() + drop);
+  base_lsn_ += drop;
 }
 
 size_t LogManager::retained_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t bytes = 0;
-  for (size_t i = truncated_; i < records_.size(); ++i) {
-    bytes += records_[i].SerializedSize();
-  }
+  for (const LogRecord& rec : records_) bytes += rec.SerializedSize();
   return bytes;
 }
 

@@ -103,7 +103,8 @@ class LogManager {
     return base_lsn_ + records_.size();
   }
 
-  /// LSNs at or below this are gone from the in-memory log (compaction).
+  /// LSNs at or below this are gone from the in-memory log (a compacted
+  /// restore or Truncate).
   Lsn base_lsn() const {
     std::lock_guard<std::mutex> lock(mu_);
     return base_lsn_;
@@ -130,15 +131,18 @@ class LogManager {
       TableId table, Lsn from_lsn, CullStats* stats = nullptr,
       Lsn end_lsn = kInvalidLsn) const;
 
-  /// Truncates records with lsn <= up_to (log-space reclamation once every
-  /// dependent snapshot has refreshed past them). Truncated LSNs remain
-  /// assigned; Get() on them fails with NotFound.
+  /// Drops records with lsn <= up_to (log-space reclamation once every
+  /// dependent snapshot has refreshed past them): their deque slots are
+  /// freed and base_lsn() advances to the last dropped LSN. Truncated LSNs
+  /// stay assigned — Get() on them fails with NotFound, a cull starting
+  /// before them fails with OutOfRange, and the next Append continues from
+  /// LastLsn(). Invalidates pointers to the dropped records only.
   void Truncate(Lsn up_to);
 
   /// Number of retained (non-truncated) records.
   size_t retained_records() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return records_.size() - truncated_;
+    return records_.size();
   }
 
   /// Bytes held by retained records — the buffering cost the paper worries
@@ -148,8 +152,7 @@ class LogManager {
  private:
   mutable std::mutex mu_;
   std::deque<LogRecord> records_;   // index i holds lsn base_lsn_ + i + 1
-  Lsn base_lsn_ = 0;                // lsns <= base_lsn_ compacted away
-  size_t truncated_ = 0;            // leading records logically removed
+  Lsn base_lsn_ = 0;                // lsns <= base_lsn_ truncated away
   WalFile* sink_ = nullptr;         // not owned; durable frame sink
   obs::Counter* metric_records_;
   obs::Counter* metric_bytes_;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -631,6 +633,94 @@ TEST(DeltaCacheTest, MutationTickAdvancesOnEveryMutation) {
   ASSERT_TRUE(h.base->SetMode(AnnotationMode::kEager).ok());
   EXPECT_GT(h.base->mutation_tick(), tick) << "mode flip must invalidate";
   EXPECT_FALSE(cache.CanServe(*h.base, descs[0]));
+}
+
+/// The fill's consistency checks, driven through the Filler API directly:
+/// an unchanged qualified row the previous image does not hold, and an
+/// address that does not strictly increase. Each must abort the fill, drop
+/// the class, and leave the next refresh to rescan with the byte-identical
+/// wire of a cache-less mirror.
+TEST(DeltaCacheTest, InconsistentFillAbortsAndNextRefreshRescans) {
+  Harness plain, cached;
+  plain.Create();
+  cached.Create();
+  plain.Populate(41, 800);
+  cached.Populate(41, 800);
+  DeltaCache cache(/*byte_budget=*/0);
+
+  auto mk = [] {
+    std::vector<SnapshotDescriptor> d;
+    d.push_back(MakeDesc(1, "Salary < 20"));
+    d.push_back(MakeDesc(2, "Salary < 20"));
+    return d;
+  };
+  auto pd = mk();
+  auto cd = mk();
+  std::vector<Timestamp> pt(2, kNullTimestamp), ct(2, kNullTimestamp);
+  ExpectSameWire(RunGroup(&plain, &pd, &pt, {0, 1}, Exec(nullptr)),
+                 RunGroup(&cached, &cd, &ct, {0, 1}, Exec(&cache)));
+
+  const Address first = cached.live[0];
+  const Address second = cached.live[1];
+  ASSERT_LT(first, second);
+  // Past every live row, so no image can hold it.
+  const Address absent = Address::FromPageSlot(60000, 1);
+
+  struct BadFill {
+    const char* what;
+    std::function<void(DeltaCache::Filler*)> feed;
+  };
+  const std::vector<BadFill> cases = {
+      {"unchanged qualified row missing from the prior image",
+       [&](DeltaCache::Filler* f) {
+         f->Observe(absent, f->reuse_floor(), /*qualified=*/true,
+                    /*unchanged=*/true, "");
+       }},
+      {"address below its predecessor",
+       [&](DeltaCache::Filler* f) {
+         f->Observe(second, f->reuse_floor(), false, false, "");
+         f->Observe(first, f->reuse_floor(), false, false, "");
+       }},
+      {"address repeated",
+       [&](DeltaCache::Filler* f) {
+         f->Observe(first, f->reuse_floor(), false, false, "");
+         f->Observe(first, f->reuse_floor(), false, false, "");
+       }},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(cases[c].what);
+    // Churn, then the leader refreshes on both sides: the cached side
+    // re-fills, so member 1 now lags a current image.
+    plain.Mutate(700 + c, 60);
+    cached.Mutate(700 + c, 60);
+    ExpectSameWire(RunGroup(&plain, &pd, &pt, {0}, Exec(nullptr)),
+                   RunGroup(&cached, &cd, &ct, {0}, Exec(&cache)));
+    ASSERT_TRUE(cache.CanServe(*cached.base, cd[1]));
+
+    const DeltaCache::StatsSnapshot before = cache.Stats();
+    std::unique_ptr<DeltaCache::Filler> filler =
+        cache.BeginFill(*cached.base, cd[0], ct[0]);
+    ASSERT_NE(filler->reuse_floor(), kNullTimestamp) << "no prior image";
+    cases[c].feed(filler.get());
+    cache.CommitFill(std::move(filler), cached.base->mutation_tick());
+
+    const DeltaCache::StatsSnapshot after = cache.Stats();
+    EXPECT_EQ(after.aborted_fills, before.aborted_fills + 1);
+    EXPECT_EQ(after.fills, before.fills);
+    EXPECT_EQ(after.classes, 0u);
+    EXPECT_EQ(after.bytes, 0u);
+    EXPECT_FALSE(cache.CanServe(*cached.base, cd[1]));
+
+    RunResult rescan = RunGroup(&plain, &pd, &pt, {1}, Exec(nullptr));
+    RunResult refreshed = RunGroup(&cached, &cd, &ct, {1}, Exec(&cache));
+    ExpectSameWire(rescan, refreshed);
+    ASSERT_EQ(refreshed.stats.size(), 1u);
+    EXPECT_FALSE(refreshed.stats[0].served_from_cache);
+    EXPECT_GT(refreshed.stats[0].entries_scanned, 0u);
+    EXPECT_GT(refreshed.traffic.entry_messages, 0u);
+    ASSERT_EQ(pt, ct);
+  }
+  EXPECT_EQ(cache.Stats().aborted_fills, cases.size());
 }
 
 /// Introspection surface: stats, per-class debug lines, and Clear().

@@ -1,6 +1,9 @@
 #include "net/socket_transport.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <string>
@@ -82,6 +85,30 @@ TEST(WireTest, TcpListenConnectFramedRoundTrip) {
   wire::ShutdownAndClose(*client);
   // EOF surfaces as Unavailable, not a hang or a crash.
   EXPECT_TRUE(wire::ReadMessage(*served).status().IsUnavailable());
+  wire::ShutdownAndClose(*served);
+  wire::ShutdownAndClose(*listener);
+}
+
+/// Refresh streams end in small frames; Nagle on either end would hold
+/// them for the peer's delayed ACK, so both fds must carry TCP_NODELAY.
+TEST(WireTest, TcpBothEndsDisableNagle) {
+  auto listener = wire::Listen("127.0.0.1:0", 4);
+  ASSERT_TRUE(listener.ok());
+  auto addr = wire::BoundAddr(*listener);
+  ASSERT_TRUE(addr.ok());
+  auto client = wire::Connect(*addr);
+  ASSERT_TRUE(client.ok());
+  auto served = wire::Accept(*listener);
+  ASSERT_TRUE(served.ok());
+
+  for (const int fd : {*client, *served}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1) << (fd == *client ? "connected" : "accepted")
+                          << " end runs Nagle";
+  }
+  wire::ShutdownAndClose(*client);
   wire::ShutdownAndClose(*served);
   wire::ShutdownAndClose(*listener);
 }

@@ -211,5 +211,58 @@ TEST_F(CullTest, TruncationReclaimsSpaceAndGuardsScans) {
   EXPECT_EQ(net->size(), 1u);
 }
 
+/// Truncation frees the dropped records' slots, not just their payloads,
+/// while LSN numbering, Get() and the cull's start guard behave as if the
+/// records were still assigned.
+TEST_F(CullTest, TruncationFreesSlotsAndKeepsLsnArithmetic) {
+  Lsn mark = kInvalidLsn;
+  for (TxnId txn = 1; txn <= 4; ++txn) {
+    log_.LogBegin(txn);
+    log_.LogInsert(txn, kTable, A(static_cast<SlotId>(txn)), "row");
+    log_.LogCommit(txn);
+    if (txn == 2) mark = log_.LastLsn();
+  }
+  const size_t kept = log_.LastLsn() - mark;
+
+  log_.Truncate(mark);
+  EXPECT_TRUE(log_.Get(mark).status().IsNotFound());
+  ASSERT_TRUE(log_.Get(mark + 1).ok());
+  EXPECT_EQ((*log_.Get(mark + 1))->lsn, mark + 1);
+  EXPECT_EQ(log_.retained_records(), kept);
+  EXPECT_EQ(log_.base_lsn(), mark);
+
+  const Lsn last = log_.LastLsn();
+  const Lsn next = log_.LogBegin(9);
+  EXPECT_EQ(next, last + 1);
+  ASSERT_TRUE(log_.Get(next).ok());
+  EXPECT_EQ((*log_.Get(next))->lsn, next);
+  EXPECT_EQ(log_.retained_records(), kept + 1);
+
+  // A second truncation moves the mark again; a cull that starts before
+  // either mark still asks for a full refresh, one from the mark does not.
+  log_.LogInsert(9, kTable, A(20), "late");
+  log_.LogCommit(9);
+  const Lsn mark2 = next;
+  log_.Truncate(mark2);
+  log_.Truncate(mark);  // behind the current mark: a no-op
+  EXPECT_EQ(log_.retained_records(), 2u);
+  EXPECT_TRUE(log_.CollectCommittedChanges(kTable, 0).status().IsOutOfRange());
+  EXPECT_TRUE(
+      log_.CollectCommittedChanges(kTable, mark).status().IsOutOfRange());
+  EXPECT_TRUE(
+      log_.CollectCommittedChanges(kTable, mark2 - 1).status().IsOutOfRange());
+  auto net = log_.CollectCommittedChanges(kTable, mark2);
+  ASSERT_TRUE(net.ok());
+  EXPECT_EQ(net->size(), 1u);
+  EXPECT_TRUE(log_.Get(mark2).status().IsNotFound());
+
+  // Truncating past the end empties the log without renumbering it.
+  const Lsn end = log_.LastLsn();
+  log_.Truncate(end + 10);
+  EXPECT_EQ(log_.retained_records(), 0u);
+  EXPECT_EQ(log_.LastLsn(), end);
+  EXPECT_EQ(log_.LogBegin(10), end + 1);
+}
+
 }  // namespace
 }  // namespace snapdiff
