@@ -163,8 +163,10 @@ uint64_t TransportMeter::NextDisplacement(size_t queue_size) {
   return 0;
 }
 
-MessageClass ClassifyMessage(const Message& msg, uint64_t* batched) {
-  *batched = 0;
+MessageClass CountMessage(const Message& msg, uint64_t bytes,
+                          ChannelStats* stats) {
+  ++stats->messages;
+  stats->payload_bytes += bytes;
   MessageType type = msg.type;
   if (type == MessageType::kEncoded) {
     // Classify by the wrapped type so encoded streams keep the same
@@ -175,17 +177,21 @@ MessageClass ClassifyMessage(const Message& msg, uint64_t* batched) {
   switch (type) {
     case MessageType::kEntry:
     case MessageType::kUpsert:
+      ++stats->entry_messages;
       return MessageClass::kEntry;
     case MessageType::kEntryBatch: {
       auto count = msg.type == MessageType::kEncoded ? EncodedEntryCount(msg)
                                                       : EntryBatchCount(msg);
-      *batched = count.ok() ? *count : 0;
+      ++stats->entry_messages;
+      stats->batched_entries += count.ok() ? *count : 0;
       return MessageClass::kEntry;
     }
     case MessageType::kDelete:
     case MessageType::kDeleteRange:
+      ++stats->delete_messages;
       return MessageClass::kDelete;
     default:
+      ++stats->control_messages;
       return MessageClass::kControl;
   }
 }
@@ -208,28 +214,22 @@ TransportMeter::SendVerdict TransportMeter::OnSend(const Message& msg,
     return verdict;
   }
 
-  ++stats_.messages;
+  const uint64_t batched_before = stats_.batched_entries;
   metrics_.messages->Inc();
-  uint64_t batched = 0;
-  switch (ClassifyMessage(msg, &batched)) {
+  switch (CountMessage(msg, bytes.size(), &stats_)) {
     case MessageClass::kEntry:
-      ++stats_.entry_messages;
       metrics_.entry_messages->Inc();
-      if (batched > 0) {
-        stats_.batched_entries += batched;
-        metrics_.batched_entries->Inc(batched);
+      if (stats_.batched_entries > batched_before) {
+        metrics_.batched_entries->Inc(stats_.batched_entries - batched_before);
       }
       break;
     case MessageClass::kDelete:
-      ++stats_.delete_messages;
       metrics_.delete_messages->Inc();
       break;
     case MessageClass::kControl:
-      ++stats_.control_messages;
       metrics_.control_messages->Inc();
       break;
   }
-  stats_.payload_bytes += bytes.size();
   metrics_.payload_bytes->Inc(bytes.size());
   stats_.wire_bytes += bytes.size() + options_.per_message_overhead_bytes;
   metrics_.wire_bytes->Inc(bytes.size() + options_.per_message_overhead_bytes);

@@ -64,11 +64,12 @@ ChannelStats operator-(const ChannelStats& a, const ChannelStats& b);
 ChannelStats operator+(const ChannelStats& a, const ChannelStats& b);
 ChannelStats& operator+=(ChannelStats& a, const ChannelStats& b);
 
-/// How the meters classify a message: a data entry (`batched` receives the
-/// entries a batch carries, else 0), a deletion, or control traffic. An
-/// encoded message counts as the type it wraps.
+/// How the meters classify a message: a data entry, a deletion, or control
+/// traffic. An encoded message counts as the type it wraps.
 enum class MessageClass { kEntry, kDelete, kControl };
-MessageClass ClassifyMessage(const Message& msg, uint64_t* batched);
+/// Meters one `bytes`-long message into `stats` and returns its class.
+MessageClass CountMessage(const Message& msg, uint64_t bytes,
+                          ChannelStats* stats);
 
 /// A composable description of how the link misbehaves, armed on a
 /// Transport with Arm(). Build with the named constructors and chain With*

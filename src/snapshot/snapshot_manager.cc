@@ -1,7 +1,6 @@
 #include "snapshot/snapshot_manager.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "catalog/catalog_persistence.h"
 #include "common/cleanup.h"
@@ -583,14 +582,17 @@ Result<SnapshotTable*> SnapshotSystem::GetSnapshot(
   return entry->table.get();
 }
 
-Status SnapshotSystem::DeliverPending(SnapshotSite* site,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats) {
+Status SnapshotSystem::DeliverPending(
+    SnapshotSite* site, const std::map<SnapshotId, RefreshStats*>& attributed) {
   const SessionApplier::ApplyFn apply = [&](const Message& msg,
-                                            const Message&) -> Status {
+                                            const Message& raw) -> Status {
     const SnapshotEntry* entry = snapshots_by_id_.at(msg.snapshot_id);
-    return entry->table->ApplyMessage(msg,
-                                      entry == attributed ? stats : nullptr);
+    auto it = attributed.find(msg.snapshot_id);
+    RefreshStats* stats = it == attributed.end() ? nullptr : it->second;
+    if (stats != nullptr) {
+      CountMessage(raw, raw.SerializedSize(), &stats->traffic);
+    }
+    return entry->table->ApplyMessage(msg, stats);
   };
   while (site->channel.HasPending()) {
     ASSIGN_OR_RETURN(Message msg, site->channel.Receive());
@@ -603,22 +605,18 @@ Status SnapshotSystem::DeliverPending(SnapshotSite* site,
 
 Status SnapshotSystem::DrainChannel() {
   for (auto& [name, site] : sites_) {
-    RETURN_IF_ERROR(DeliverPending(site.get(), nullptr, nullptr));
+    RETURN_IF_ERROR(DeliverPending(site.get(), {}));
   }
   return Status::OK();
 }
 
 Status SnapshotSystem::RunRefreshAttempt(
-    SnapshotEntry* entry, RefreshMethod method, Timestamp request_time,
-    const ServeRequest& request, RefreshSession* session, MessageSink* wire,
-    obs::Tracer* tracer, RefreshStats* stats,
-    const std::shared_ptr<TableEpoch>& epoch) {
+    SnapshotEntry* entry, RefreshMethod method,
+    std::vector<GroupRefreshMember>* members, MessageSink* wire,
+    obs::Tracer* tracer, const RefreshExecution& exec) {
   SnapshotDescriptor* desc = &entry->descriptor;
   BaseTable* base = entry->source;
-  RefreshExecution exec =
-      MakeRefreshExecution(request.workers, request.batch_size);
-  exec.session = session;
-  exec.epoch = epoch;
+  RefreshStats* stats = members->front().stats;
   switch (method) {
     case RefreshMethod::kFull: {
       RETURN_IF_ERROR(
@@ -631,15 +629,16 @@ Status SnapshotSystem::RunRefreshAttempt(
       return Status::OK();
     }
     case RefreshMethod::kDifferential:
-      return ExecuteDifferentialRefresh(base, desc, request_time, wire, stats,
-                                        tracer, exec);
+      // One combined scan serves every member.
+      return ExecuteGroupDifferentialRefresh(base, members, wire, tracer,
+                                             exec);
     case RefreshMethod::kIdeal:
       return ExecuteIdealRefresh(base, desc, wire, stats, tracer, exec);
     case RefreshMethod::kLogBased:
       return ExecuteLogBasedRefresh(base, desc, wire, stats, tracer, exec);
     case RefreshMethod::kAsap: {
       // The SnapTime the client's demand carried decides.
-      if (request_time == kNullTimestamp) {
+      if (members->front().snap_time == kNullTimestamp) {
         // First refresh initializes the replica with a full copy of the
         // epoch's cut; changes made before the snapshot existed were never
         // streamed. Buffered changes may postdate the cut, so the local
@@ -654,45 +653,76 @@ Status SnapshotSystem::RunRefreshAttempt(
       if (entry->asap != nullptr) {
         RETURN_IF_ERROR(entry->asap->FlushBuffered());
       }
-      return session->Send(MakeEndOfRefresh(desc->id, Address::Null(),
-                                            base->oracle()->Next()));
+      return members->front().sink->Send(MakeEndOfRefresh(
+          desc->id, Address::Null(), base->oracle()->Next()));
     }
   }
   return Status::Internal("bad refresh method");
 }
 
-void SnapshotSystem::CommitRefreshOutcome(SnapshotDescriptor* desc) {
-  if (desc->pending_ideal_shadow.has_value()) {
-    desc->ideal_shadow = std::move(*desc->pending_ideal_shadow);
-    desc->pending_ideal_shadow.reset();
-  }
-  if (desc->pending_refresh_lsn.has_value()) {
-    desc->last_refresh_lsn = *desc->pending_refresh_lsn;
-    desc->pending_refresh_lsn.reset();
-  }
-}
-
 Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(request.snapshot));
-  SnapshotDescriptor* desc = &entry->descriptor;
-  SnapshotSite* site = entry->site;
-  Channel* channel = &site->channel;
-
   // Per-call method override: a snapshot refreshes by its own method or by
   // full re-transmission (always safe; switching between incremental
   // methods would desynchronize their per-method base-site state).
-  RefreshMethod method = desc->method;
-  if (request.method.has_value() && *request.method != desc->method) {
-    if (entry->join != nullptr || *request.method != RefreshMethod::kFull) {
-      return Status::InvalidArgument(
-          "refresh method override for " + request.snapshot + " must be " +
-          std::string(RefreshMethodToString(desc->method)) +
-          (entry->join != nullptr ? "" : " or full"));
-    }
-    method = RefreshMethod::kFull;
+  const RefreshMethod own = entry->descriptor.method;
+  if (request.method.has_value() && *request.method != own &&
+      (entry->join != nullptr || *request.method != RefreshMethod::kFull)) {
+    return Status::InvalidArgument(
+        "refresh method override for " + request.snapshot + " must be " +
+        std::string(RefreshMethodToString(own)) +
+        (entry->join != nullptr ? "" : " or full"));
   }
+  ASSIGN_OR_RETURN(std::vector<RefreshReport> reports,
+                   RunRefresh({entry}, request, "refresh " + request.snapshot));
+  return std::move(reports.front());
+}
 
-  tracer_.Begin("refresh " + request.snapshot);
+Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
+    const std::vector<std::string>& snapshot_names) {
+  if (snapshot_names.empty()) {
+    return Status::InvalidArgument("empty refresh group");
+  }
+  std::vector<SnapshotEntry*> members;
+  for (const std::string& name : snapshot_names) {
+    ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(name));
+    if (entry->descriptor.method != RefreshMethod::kDifferential) {
+      return Status::InvalidArgument(
+          "group refresh supports only differential snapshots; " + name +
+          " is " +
+          std::string(RefreshMethodToString(entry->descriptor.method)));
+    }
+    // A snapshot has one live session, so a repeated member would
+    // supersede its own stream mid-burst.
+    if (std::find(members.begin(), members.end(), entry) != members.end()) {
+      return Status::InvalidArgument("group names " + name + " twice");
+    }
+    if (!members.empty() && (members.front()->source != entry->source ||
+                             members.front()->site != entry->site)) {
+      return Status::InvalidArgument(
+          "group members must share one base table and one snapshot site "
+          "(one scan, one transmission burst, one link)");
+    }
+    members.push_back(entry);
+  }
+  ASSIGN_OR_RETURN(std::vector<RefreshReport> reports,
+                   RunRefresh(members, RefreshRequest{}, "refresh-group"));
+  std::map<std::string, RefreshStats> results;
+  for (size_t i = 0; i < members.size(); ++i) {
+    results[members[i]->descriptor.name] = std::move(reports[i].stats);
+  }
+  return results;
+}
+
+Result<std::vector<RefreshReport>> SnapshotSystem::RunRefresh(
+    const std::vector<SnapshotEntry*>& members, const RefreshRequest& request,
+    const std::string& trace_name) {
+  const SnapshotEntry& lead = *members.front();
+  SnapshotSite* site = lead.site;
+  Channel* channel = &site->channel;
+  const RefreshMethod method = request.method.value_or(lead.descriptor.method);
+
+  tracer_.Begin(trace_name);
   // Ends the trace on error returns without clobbering the explicit End().
   Cleanup end_trace([this] {
     if (tracer_.active()) tracer_.End();
@@ -704,9 +734,9 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     obs::Tracer::Span drain_span(&tracer_, "drain");
     RETURN_IF_ERROR(DrainChannel());
   }
-  // This call demands a fresh session, superseding any earlier one; its
-  // prefix was just delivered, so the checkpoint state can go.
-  site->applier.Retire(desc->id);
+  // This call demands fresh sessions, superseding any earlier ones; their
+  // prefixes were just delivered, so the checkpoint state can go.
+  for (const SnapshotEntry* m : members) site->applier.Retire(m->descriptor.id);
 
   // A scripted per-request fault window: armed before the first attempt,
   // healed (at the latest) when the call returns.
@@ -722,48 +752,59 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   // flush once the call ends; re-sent pre-cut changes are idempotent. A
   // failed flush (still-partitioned link) keeps them buffered.
   AsapPropagator* paused =
-      method == RefreshMethod::kAsap ? entry->asap.get() : nullptr;
+      method == RefreshMethod::kAsap ? lead.asap.get() : nullptr;
   if (paused != nullptr) paused->PauseToBuffer();
   Cleanup flush([paused] {
     if (paused != nullptr) (void)paused->ResumeAndFlush();
   });
 
-  // A call that fails abandons its session (the next call demands afresh):
-  // release its scan epoch and staged outcome now, not at the next serve.
-  // A no-op once AcknowledgeServe retired it.
-  ServeOutcome served;
+  // A call that fails abandons its sessions (the next call demands afresh):
+  // release their scan epoch and staged outcomes now, not at the next
+  // serve. A no-op once AcknowledgeServe retired them.
+  std::vector<ServeOutcome> served(members.size());
+  std::map<SnapshotId, RefreshStats*> attributed;
+  for (size_t i = 0; i < members.size(); ++i) {
+    attributed[members[i]->descriptor.id] = &served[i].stats;
+  }
   Cleanup abandon([&] {
     std::lock_guard<std::mutex> guard(serve_mu_);
-    if (served.session_id != 0) EvictServeSession(desc->id, served.session_id);
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (served[i].session_id == 0) continue;
+      EvictServeSession(members[i]->descriptor.id, served[i].session_id);
+    }
   });
 
-  // The demand crosses the request link (snapshot → base) and is served
+  // The demands cross the request link (snapshot → base) and are served
   // exactly as a remote site's would be.
-  const auto demand = [&]() -> Result<ServeRequest> {
-    RETURN_IF_ERROR(request_channel_.Send(site->applier.Demand(
-        desc->id, entry->table->snap_time(), desc->restriction_text)));
-    ASSIGN_OR_RETURN(Message received, request_channel_.Receive());
-    ServeRequest serve =
-        ServeRequest::FromDemand(received, site->encoder.get());
-    serve.workers = request.workers;
-    serve.batch_size = request.batch_size;
-    return serve;
+  const auto demand = [&]() -> Result<std::vector<ServeRequest>> {
+    std::vector<ServeRequest> serves;
+    for (const SnapshotEntry* m : members) {
+      RETURN_IF_ERROR(request_channel_.Send(
+          site->applier.Demand(m->descriptor.id, m->table->snap_time(),
+                               m->descriptor.restriction_text)));
+      ASSIGN_OR_RETURN(Message received, request_channel_.Receive());
+      serves.push_back(ServeRequest::FromDemand(received, site->encoder.get()));
+      serves.back().workers = request.workers;
+      serves.back().batch_size = request.batch_size;
+    }
+    return serves;
   };
   obs::Tracer::Span request_span(&tracer_, "request");
-  ASSIGN_OR_RETURN(ServeRequest serve, demand());
+  ASSIGN_OR_RETURN(std::vector<ServeRequest> serves, demand());
   request_span.Close();
 
   RefreshReport report;
   const ChannelStats before = channel->stats();
   const std::string execute_label =
-      entry->join != nullptr
-          ? "execute join-full"
-          : std::string("execute ").append(RefreshMethodToString(method));
+      members.size() > 1    ? "execute group-differential"
+      : lead.join != nullptr ? "execute join-full"
+                             : std::string("execute ").append(
+                                   RefreshMethodToString(method));
   for (;;) {
     obs::Tracer::Span exec_span(&tracer_, execute_label);
-    Status exec = ServeRefresh(serve, channel, &request, &tracer_, &served);
+    Status exec = ServeRefresh(serves, channel, &request, &tracer_, &served);
     exec_span.Close();
-    if (served.resumed) {
+    if (served.front().resumed) {
       ++report.resumes;
       metric_refresh_resumes_->Inc();
     }
@@ -773,20 +814,28 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     // that is the resume checkpoint.
     obs::Tracer::Span apply_span(&tracer_, "apply");
     const uint64_t applied = site->applier.counters().applied;
-    RETURN_IF_ERROR(DeliverPending(site, entry, &served.stats));
+    RETURN_IF_ERROR(DeliverPending(site, attributed));
     apply_span.Note("messages", site->applier.counters().applied - applied);
     apply_span.Close();
-    // The transmission succeeded end-to-end only if the stream's END
-    // actually applied — with lossy delivery, executor success alone
-    // proves nothing.
-    if (site->applier.Complete(desc->id, served.session_id)) break;
+    // A member is refreshed only if its stream's END actually applied —
+    // with lossy delivery, executor success alone proves nothing.
+    std::string incomplete;
+    for (size_t i = 0; i < members.size(); ++i) {
+      const uint64_t session = served[i].session_id;
+      if (site->applier.Complete(members[i]->descriptor.id, session)) continue;
+      incomplete += " " + members[i]->descriptor.name + "#" +
+                    std::to_string(session);
+    }
+    if (incomplete.empty()) break;
     const Status failure =
         !exec.ok() ? exec
-                   : Status::Unavailable(
-                         "refresh " + request.snapshot + " session " +
-                         std::to_string(served.session_id) +
-                         " incomplete: messages lost in transit");
-    if (report.retries >= request.retry.max_retries) return failure;
+                   : Status::Unavailable("refresh incomplete, messages lost "
+                                         "in transit:" + incomplete);
+    // Only a lone member retries: a group makes one attempt, and a member
+    // that lost messages keeps its old SnapTime until the next refresh.
+    if (members.size() > 1 || report.retries >= request.retry.max_retries) {
+      return failure;
+    }
 
     // --- retry: RESUME_REFRESH negotiation. The site's demand names its
     // applied prefix and the base re-runs the session with that prefix
@@ -795,8 +844,8 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     ++report.attempts;
     metric_refresh_retries_->Inc();
     obs::Tracer::Span retry_span(&tracer_, "retry");
-    if (!request.retry.resume) site->applier.Retire(desc->id);
-    ASSIGN_OR_RETURN(serve, demand());
+    if (!request.retry.resume) site->applier.Retire(lead.descriptor.id);
+    ASSIGN_OR_RETURN(serves, demand());
     // Capped exponential backoff in simulated ticks; advancing the link's
     // clock is also what fires FaultPlan::WithHealAfter.
     const uint64_t backoff = request.retry.BackoffTicks(report.retries);
@@ -804,58 +853,59 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     if (backoff > 0) channel->AdvanceTime(backoff);
     retry_span.Note("attempt", report.attempts);
     retry_span.Note("backoff_ticks", backoff);
-    retry_span.Note("resume_after_seq", serve.resume_after_seq);
+    retry_span.Note("resume_after_seq", serves.front().resume_after_seq);
     retry_span.Close();
     SNAPDIFF_LOG(Warn) << "refresh retrying"
-                       << obs::kv("snapshot", request.snapshot)
-                       << obs::kv("session", served.session_id)
+                       << obs::kv("snapshot", lead.descriptor.name)
+                       << obs::kv("session", served.front().session_id)
                        << obs::kv("attempt", report.attempts)
-                       << obs::kv("resume_after_seq", serve.resume_after_seq)
+                       << obs::kv("resume_after_seq",
+                                  serves.front().resume_after_seq)
                        << obs::kv("backoff_ticks", backoff)
                        << obs::kv("reason", failure.ToString());
   }
 
-  RefreshStats stats = std::move(served.stats);
-  stats.traffic = channel->stats() - before;
-  // The site applied the session's END: acknowledge it, which commits the
-  // staged outcome, and let the encoder's folds commit with it.
-  site->applier.Retire(desc->id);
-  if (served.session_id != 0 &&
-      AcknowledgeServe(desc->id, served.session_id).ok() &&
-      site->encoder != nullptr) {
-    site->encoder->CommitStream(desc->id, served.session_id);
-  }
-  FinishRefreshTrace(*entry, stats);
-  report.session_id = served.session_id;
-  report.suppressed_messages = served.suppressed;
-  report.trace_id = tracer_.name();
-  report.stats = std::move(stats);
-  return report;
-}
-
-void SnapshotSystem::CountRefresh(const SnapshotEntry& entry) {
-  metric_refreshes_->Inc();
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const std::string& name = entry.descriptor.name;
-  reg.GetCounter("snapshot." + name + ".refreshes")->Inc();
-  reg.GetGauge("snapshot." + name + ".staleness")
-      ->Set(static_cast<int64_t>(base_oracle_.Current()) -
-            static_cast<int64_t>(entry.table->snap_time()));
-}
-
-void SnapshotSystem::FinishRefreshTrace(const SnapshotEntry& entry,
-                                        const RefreshStats& stats) {
+  const ChannelStats burst = channel->stats() - before;
   tracer_.End();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
-  CountRefresh(entry);
-  SNAPDIFF_LOG(Info) << "refresh complete"
-                     << obs::kv("snapshot", entry.descriptor.name)
-                     << obs::kv("method",
-                                RefreshMethodToString(entry.descriptor.method))
-                     << obs::kv("messages", stats.traffic.messages)
-                     << obs::kv("wire_bytes", stats.traffic.wire_bytes)
-                     << obs::kv("duration_us", tracer_.duration_us());
+  report.trace_id = tracer_.name();
+  std::vector<RefreshReport> reports(members.size(), report);
+  for (size_t i = 0; i < members.size(); ++i) {
+    const SnapshotEntry& m = *members[i];
+    // A lone member owns the link's whole burst. Group members split its
+    // messages by snapshot (attributed at apply) and share its frames and
+    // wire bytes, so their attributions sum to the burst.
+    RefreshStats& stats = served[i].stats;
+    if (members.size() == 1) stats.traffic = burst;
+    stats.traffic.frames = burst.frames;
+    stats.traffic.wire_bytes = burst.wire_bytes;
+    // The site applied the session's END: acknowledge it, which commits the
+    // staged outcome, and let the encoder's folds commit with it.
+    site->applier.Retire(m.descriptor.id);
+    if (served[i].session_id != 0 &&
+        AcknowledgeServe(m.descriptor.id, served[i].session_id).ok() &&
+        site->encoder != nullptr) {
+      site->encoder->CommitStream(m.descriptor.id, served[i].session_id);
+    }
+    metric_refreshes_->Inc();
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    reg.GetCounter("snapshot." + m.descriptor.name + ".refreshes")->Inc();
+    reg.GetGauge("snapshot." + m.descriptor.name + ".staleness")
+        ->Set(static_cast<int64_t>(base_oracle_.Current()) -
+              static_cast<int64_t>(m.table->snap_time()));
+    SNAPDIFF_LOG(Info) << "refresh complete"
+                       << obs::kv("snapshot", m.descriptor.name)
+                       << obs::kv("method",
+                                  RefreshMethodToString(m.descriptor.method))
+                       << obs::kv("messages", stats.traffic.messages)
+                       << obs::kv("wire_bytes", burst.wire_bytes)
+                       << obs::kv("duration_us", tracer_.duration_us());
+    reports[i].session_id = served[i].session_id;
+    reports[i].suppressed_messages = served[i].suppressed;
+    reports[i].stats = std::move(stats);
+  }
+  return reports;
 }
 
 Result<SnapshotSystem::SnapshotWireInfo> SnapshotSystem::DescribeSnapshot(
@@ -903,111 +953,131 @@ SnapshotSystem::ServeRequest SnapshotSystem::ServeRequest::FromDemand(
 
 Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     const ServeRequest& request, MessageSink* wire) {
-  ServeOutcome outcome;
-  RETURN_IF_ERROR(ServeRefresh(request, wire, /*local=*/nullptr,
+  std::vector<ServeOutcome> outcome(1);
+  RETURN_IF_ERROR(ServeRefresh({request}, wire, /*local=*/nullptr,
                                /*tracer=*/nullptr, &outcome));
-  return outcome;
+  return std::move(outcome.front());
 }
 
-Status SnapshotSystem::ServeRefresh(const ServeRequest& request,
+Status SnapshotSystem::ServeRefresh(const std::vector<ServeRequest>& requests,
                                     MessageSink* wire,
                                     const RefreshRequest* local,
                                     obs::Tracer* tracer,
-                                    ServeOutcome* outcome) {
-  SnapshotEntry* entry = nullptr;
+                                    std::vector<ServeOutcome>* outcomes) {
+  std::vector<SnapshotEntry*> entries;
   {
     // Registry lookup only; execution is NOT under serve_mu_, so server
     // threads refreshing different tables stream concurrently.
     std::lock_guard<std::mutex> guard(serve_mu_);
-    auto by_id = snapshots_by_id_.find(request.snapshot_id);
-    if (by_id == snapshots_by_id_.end()) {
-      return Status::NotFound("no snapshot with wire id " +
-                              std::to_string(request.snapshot_id));
+    for (const ServeRequest& request : requests) {
+      auto by_id = snapshots_by_id_.find(request.snapshot_id);
+      if (by_id == snapshots_by_id_.end()) {
+        return Status::NotFound("no snapshot with wire id " +
+                                std::to_string(request.snapshot_id));
+      }
+      entries.push_back(by_id->second);
     }
-    entry = by_id->second;
   }
-  SnapshotDescriptor* desc = &entry->descriptor;
-  if (entry->join != nullptr) {
+  SnapshotEntry* lead = entries.front();
+  if (lead->join != nullptr) {
     // Sessionless join serve: a full re-evaluation admitted over both
     // inputs — there is no resumable stream to keep frozen.
     AdmissionGuard admission = AdmitRefresh(
-        {entry->join->left->info()->id, entry->join->right->info()->id});
-    return ExecuteJoinFullRefresh(entry->join.get(), wire, &outcome->stats,
-                                  tracer);
+        {lead->join->left->info()->id, lead->join->right->info()->id});
+    return ExecuteJoinFullRefresh(lead->join.get(), wire,
+                                  &outcomes->front().stats, tracer);
   }
 
   // Admission is held only while this attempt streams — not until the ack.
   // The session's epoch is what keeps a later RESUME byte-identical, so
   // other snapshots of this table refresh freely between a stream and its
-  // ack.
-  AdmissionGuard admission = AdmitRefresh({entry->source->info()->id});
+  // ack. Group members share the table, so it admits once.
+  AdmissionGuard admission = AdmitRefresh({lead->source->info()->id});
 
-  ServeSession live;  // the session this attempt streams
-  uint64_t resume_after = 0;
-  bool fresh = false;
+  // The sessions this attempt streams: each member's own, so session
+  // identity and sequence stamping stay intact on a shared wire.
+  std::vector<ServeSession> live;
+  std::vector<RefreshSession> sessions;
+  sessions.reserve(entries.size());
+  std::vector<GroupRefreshMember> members;
+  std::shared_ptr<TableEpoch> epoch;  // one cut for every fresh session
   {
     std::lock_guard<std::mutex> guard(serve_mu_);
-    auto it = serve_sessions_.find(desc->id);
-    if (request.resume_session_id != 0 && it != serve_sessions_.end() &&
-        it->second.session_id == request.resume_session_id) {
-      // RESUME of a live session: its scan epoch still pins the cut, so
-      // the deterministic re-run emits the byte-identical stream (writers
-      // mutated the live table freely in between) and suppress-by-sequence
-      // names exactly the applied prefix.
-      live = it->second;
-      resume_after = request.resume_after_seq;
-    } else {
-      // Fresh session, superseding any dangling session for this snapshot:
-      // its staged outcome must not survive into this one.
-      EvictServeSession(desc->id);
-      const RefreshMethod method =
-          local != nullptr ? local->method.value_or(desc->method)
-                           : desc->method;
-      if (local == nullptr && method == RefreshMethod::kAsap &&
-          request.client_snap_time != kNullTimestamp) {
-        return Status::InvalidArgument(
-            "ASAP propagation is in-process only; a remote site receives "
-            "the initial full copy and must re-attach for a fresh copy");
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const ServeRequest& request = requests[i];
+      const SnapshotDescriptor& desc = entries[i]->descriptor;
+      auto it = serve_sessions_.find(desc.id);
+      uint64_t resume_after = 0;
+      if (request.resume_session_id != 0 && it != serve_sessions_.end() &&
+          it->second.session_id == request.resume_session_id) {
+        // RESUME of a live session: its scan epoch still pins the cut, so
+        // the deterministic re-run emits the byte-identical stream (writers
+        // mutated the live table freely in between) and suppress-by-
+        // sequence names exactly the applied prefix.
+        live.push_back(it->second);
+        resume_after = request.resume_after_seq;
+      } else {
+        // Fresh session, superseding any dangling session for this
+        // snapshot: its staged outcome must not survive into this one.
+        EvictServeSession(desc.id);
+        const RefreshMethod method = local != nullptr
+                                         ? local->method.value_or(desc.method)
+                                         : desc.method;
+        if (local == nullptr && method == RefreshMethod::kAsap &&
+            request.client_snap_time != kNullTimestamp) {
+          return Status::InvalidArgument(
+              "ASAP propagation is in-process only; a remote site receives "
+              "the initial full copy and must re-attach for a fresh copy");
+        }
+        if (epoch == nullptr) epoch = lead->source->OpenEpoch();
+        live.push_back(ServeSession{next_session_id_++, method,
+                                    request.client_snap_time, epoch});
+        serve_sessions_[desc.id] = live.back();
       }
-      live = ServeSession{next_session_id_++, method,
-                          request.client_snap_time,
-                          entry->source->OpenEpoch()};
-      serve_sessions_[desc->id] = live;
-      fresh = true;
+      if (request.encoder != nullptr) {
+        // The demand carried the client decoder's committed generation; a
+        // mismatch resets the shadow and the stream opens with a reset
+        // flag. Syncing on RESUME too is what makes reconnects work: the
+        // new connection's encoder starts at generation 0 with an empty
+        // shadow while the client decoder is at G — adopting G (and
+        // re-deriving the in-session shadow by replaying the suppressed
+        // prefix) realigns them. When generations already match the sync
+        // is a no-op.
+        request.encoder->SyncGeneration(desc.id, request.client_codec_gen);
+        request.encoder->BeginStream(desc.id, live.back().session_id,
+                                     resume_after > 0);
+      }
+      sessions.emplace_back(wire, live.back().session_id, resume_after,
+                            request.encoder);
+      members.push_back({&entries[i]->descriptor, live.back().request_time,
+                         &(*outcomes)[i].stats, &sessions.back()});
     }
   }
-  if (fresh && local != nullptr && local->on_epoch_open) {
+  if (epoch != nullptr && local != nullptr && local->on_epoch_open) {
     local->on_epoch_open();
   }
 
-  if (request.encoder != nullptr) {
-    // The demand carried the client decoder's committed generation; a
-    // mismatch resets the shadow and the stream opens with a reset flag.
-    // Syncing on RESUME too is what makes reconnects work: the new
-    // connection's encoder starts at generation 0 with an empty shadow
-    // while the client decoder is at G — adopting G (and re-deriving the
-    // in-session shadow by replaying the suppressed prefix) realigns them.
-    // When generations already match the sync is a no-op.
-    request.encoder->SyncGeneration(desc->id, request.client_codec_gen);
-    request.encoder->BeginStream(desc->id, live.session_id,
-                                 resume_after > 0);
+  RefreshExecution execution = MakeRefreshExecution(
+      requests.front().workers, requests.front().batch_size);
+  execution.epoch = live.front().epoch;
+  // Only a lone member's stream resumes, so only it may elide the payloads
+  // of suppressed messages.
+  if (sessions.size() == 1) execution.session = &sessions.front();
+  Status exec = RunRefreshAttempt(lead, live.front().method, &members, wire,
+                                  tracer, execution);
+  // Unavailable = the transport died mid-stream: the sessions (and their
+  // epoch) stay live for the client's RESUME. A real executor failure
+  // evicts them: they cannot be resumed soundly.
+  const bool failed = !exec.ok() && !exec.IsUnavailable();
+  std::lock_guard<std::mutex> guard(serve_mu_);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ServeOutcome& outcome = (*outcomes)[i];
+    outcome.session_id = sessions[i].session_id();
+    outcome.resumed = sessions[i].resumed();
+    outcome.last_seq = sessions[i].last_seq();
+    outcome.suppressed += sessions[i].suppressed();
+    if (failed) EvictServeSession(members[i].desc->id, outcome.session_id);
   }
-  RefreshSession session(wire, live.session_id, resume_after,
-                         request.encoder);
-  outcome->session_id = live.session_id;
-  outcome->resumed = resume_after > 0;
-  Status exec = RunRefreshAttempt(entry, live.method, live.request_time,
-                                  request, &session, wire, tracer,
-                                  &outcome->stats, live.epoch);
-  outcome->last_seq = session.last_seq();
-  outcome->suppressed += session.suppressed();
-  if (!exec.ok() && !exec.IsUnavailable()) {
-    // A real executor failure: this session cannot be resumed soundly.
-    std::lock_guard<std::mutex> guard(serve_mu_);
-    EvictServeSession(desc->id, live.session_id);
-  }
-  // Unavailable = the transport died mid-stream. The session (and its
-  // epoch) stays live for the client's RESUME.
   return exec;
 }
 
@@ -1019,181 +1089,20 @@ Status SnapshotSystem::AcknowledgeServe(SnapshotId snapshot_id,
     return Status::NotFound("serve session " + std::to_string(session_id) +
                             " is no longer live");
   }
+  // Commit the staged per-method state (see SnapshotDescriptor); the
+  // eviction then releases the session and clears what was staged.
   auto by_id = snapshots_by_id_.find(snapshot_id);
   if (by_id != snapshots_by_id_.end()) {
-    CommitRefreshOutcome(&by_id->second->descriptor);
+    SnapshotDescriptor& desc = by_id->second->descriptor;
+    if (desc.pending_ideal_shadow.has_value()) {
+      desc.ideal_shadow = std::move(*desc.pending_ideal_shadow);
+    }
+    if (desc.pending_refresh_lsn.has_value()) {
+      desc.last_refresh_lsn = *desc.pending_refresh_lsn;
+    }
   }
-  serve_sessions_.erase(it);
+  EvictServeSession(snapshot_id, session_id);
   return Status::OK();
-}
-
-Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
-    const std::vector<std::string>& snapshot_names) {
-  if (snapshot_names.empty()) {
-    return Status::InvalidArgument("empty refresh group");
-  }
-  std::vector<SnapshotEntry*> entries;
-  entries.reserve(snapshot_names.size());
-  BaseTable* base = nullptr;
-  SnapshotSite* group_site = nullptr;
-  for (const std::string& name : snapshot_names) {
-    ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(name));
-    if (entry->descriptor.method != RefreshMethod::kDifferential) {
-      return Status::InvalidArgument(
-          "group refresh supports only differential snapshots; " + name +
-          " is " +
-          std::string(RefreshMethodToString(entry->descriptor.method)));
-    }
-    if (base == nullptr) {
-      base = entry->source;
-      group_site = entry->site;
-    } else if (base != entry->source) {
-      return Status::InvalidArgument(
-          "group members must share one base table");
-    } else if (group_site != entry->site) {
-      return Status::InvalidArgument(
-          "group members must live at one snapshot site (one transmission "
-          "burst, one link)");
-    }
-    entries.push_back(entry);
-  }
-
-  tracer_.Begin("refresh-group");
-  Cleanup end_trace([this] {
-    if (tracer_.active()) tracer_.End();
-  });
-
-  {
-    obs::Tracer::Span drain_span(&tracer_, "drain");
-    RETURN_IF_ERROR(DrainChannel());
-  }
-
-  std::map<std::string, RefreshStats> results;
-  std::vector<GroupRefreshMember> members;
-  members.reserve(entries.size());
-  // Every member transmits through its own wire session, so the shared
-  // scan's fan-out keeps per-session identity and sequence stamping intact
-  // on the wire — exactly what a real multi-subscriber server needs.
-  std::deque<RefreshSession> sessions;
-  obs::Tracer::Span request_span(&tracer_, "request");
-  // One encoder serves the whole group: the shared scan fans each row out to
-  // every member session, so the encode memo turns N near-identical encodes
-  // into one encode plus N−1 cache hits.
-  WireEncoder* group_encoder = group_site->encoder.get();
-  for (SnapshotEntry* entry : entries) {
-    RETURN_IF_ERROR(request_channel_.Send(
-        MakeRefreshRequest(entry->descriptor.id, entry->table->snap_time(),
-                           entry->descriptor.restriction_text)));
-    ASSIGN_OR_RETURN(Message request, request_channel_.Receive());
-    RefreshStats& stats = results[entry->descriptor.name];
-    group_site->applier.Retire(entry->descriptor.id);
-    const uint64_t session_id = next_session_id_++;
-    if (group_encoder != nullptr) {
-      group_encoder->SyncGeneration(
-          entry->descriptor.id,
-          group_site->decoder->generation(entry->descriptor.id));
-      group_encoder->BeginStream(entry->descriptor.id, session_id,
-                                 /*resumed=*/false);
-    }
-    sessions.emplace_back(&group_site->channel, session_id,
-                          /*resume_after_seq=*/0, group_encoder);
-    members.push_back(
-        {&entry->descriptor, request.timestamp, &stats, &sessions.back()});
-  }
-  request_span.Note("members", members.size());
-  request_span.Close();
-
-  // Writers mutate the live table while the group scan reads an epoch.
-  Channel* channel = &group_site->channel;
-  const ChannelStats before = channel->stats();
-  obs::Tracer::Span exec_span(&tracer_, "execute group-differential");
-  {
-    AdmissionGuard admission = AdmitRefresh({base->info()->id});
-    RefreshExecution group_exec = MakeRefreshExecution();
-    group_exec.epoch = base->OpenEpoch();
-    RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(base, &members, channel,
-                                                    &tracer_, group_exec));
-  }
-  const ChannelStats total = channel->stats() - before;
-  exec_span.Close();
-
-  // Receive and apply through the site's applier, attributing message
-  // counts per snapshot.
-  obs::Tracer::Span apply_span(&tracer_, "apply");
-  const SessionApplier::ApplyFn apply = [&](const Message& msg,
-                                            const Message& raw) -> Status {
-    auto it = snapshots_by_id_.find(msg.snapshot_id);
-    if (it == snapshots_by_id_.end()) return Status::OK();
-    auto res = results.find(it->second->descriptor.name);
-    if (res == results.end()) {
-      return it->second->table->ApplyMessage(msg, nullptr);
-    }
-    ChannelStats& traffic = res->second.traffic;
-    ++traffic.messages;
-    uint64_t batched = 0;
-    switch (ClassifyMessage(raw, &batched)) {
-      case MessageClass::kEntry:
-        ++traffic.entry_messages;
-        traffic.batched_entries += batched;
-        break;
-      case MessageClass::kDelete:
-        ++traffic.delete_messages;
-        break;
-      case MessageClass::kControl:
-        ++traffic.control_messages;
-        break;
-    }
-    // Attribute the bytes that actually travelled (encoded when the wire
-    // codec is on), not the decoded logical size. Frames are a property of
-    // the whole burst; report the total.
-    traffic.payload_bytes += raw.SerializedSize();
-    traffic.frames = total.frames;
-    traffic.wire_bytes = total.wire_bytes;
-    return it->second->table->ApplyMessage(msg, &res->second);
-  };
-  while (channel->HasPending()) {
-    ASSIGN_OR_RETURN(Message raw, channel->Receive());
-    RETURN_IF_ERROR(group_site->applier.Admit(raw, apply));
-  }
-  apply_span.Close();
-
-  // A member is refreshed only if its END applied; one that lost messages
-  // in transit keeps its old SnapTime, and the next refresh repairs it.
-  std::string incomplete;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SnapshotId id = entries[i]->descriptor.id;
-    const uint64_t session_id = sessions[i].session_id();
-    if (!group_site->applier.Complete(id, session_id)) {
-      incomplete += " " + entries[i]->descriptor.name;
-      continue;
-    }
-    group_site->applier.Retire(id);
-    if (group_encoder != nullptr) group_encoder->CommitStream(id, session_id);
-  }
-  if (!incomplete.empty()) {
-    return Status::Unavailable(
-        "group refresh lost messages in transit; incomplete:" + incomplete);
-  }
-
-  tracer_.End();
-  metric_refresh_duration_->Observe(
-      static_cast<double>(tracer_.duration_us()));
-  // The per-member traffic attributions sum (via ChannelStats::operator+=)
-  // to the burst's data-message totals; frames/wire_bytes are whole-burst
-  // figures repeated per member, so the burst total is reported separately.
-  ChannelStats attributed;
-  for (SnapshotEntry* entry : entries) {
-    CountRefresh(*entry);
-    attributed += results[entry->descriptor.name].traffic;
-  }
-  SNAPDIFF_LOG(Info) << "group refresh complete"
-                     << obs::kv("members", entries.size())
-                     << obs::kv("attributed_messages", attributed.messages)
-                     << obs::kv("attributed_payload_bytes",
-                                attributed.payload_bytes)
-                     << obs::kv("burst_wire_bytes", total.wire_bytes)
-                     << obs::kv("duration_us", tracer_.duration_us());
-  return results;
 }
 
 Status SnapshotSystem::FlushAsapBuffers() {

@@ -21,6 +21,7 @@
 #include "snapshot/asap.h"
 #include "snapshot/base_table.h"
 #include "snapshot/delta_cache.h"
+#include "snapshot/differential_refresh.h"
 #include "snapshot/join_refresh.h"
 #include "snapshot/refresh_types.h"
 #include "snapshot/session_applier.h"
@@ -281,11 +282,13 @@ class SnapshotSystem {
     return admission_high_water_.load(std::memory_order_acquire);
   }
 
-  /// Refreshes several *differential* snapshots of the same base table in
-  /// one combined scan, amortizing the sequential read and the fix-up
-  /// writes over the group. Returns per-snapshot meters; message counts are
-  /// attributed per snapshot on the receive side (frame accounting is
-  /// whole-burst and reported under every member).
+  /// Refreshes several distinct *differential* snapshots of one base table
+  /// at one site in one combined scan, amortizing the sequential read and
+  /// the fix-up writes over the group: Refresh's client loop with N members
+  /// and one attempt, each member streaming its own serve session from one
+  /// scan epoch. Returns per-snapshot meters; message counts are attributed
+  /// per snapshot on the receive side (frame accounting is whole-burst and
+  /// reported under every member).
   Result<std::map<std::string, RefreshStats>> RefreshGroup(
       const std::vector<std::string>& snapshot_names);
 
@@ -314,8 +317,8 @@ class SnapshotSystem {
 
   /// The default site's base → snapshot channel (meters, injection).
   Channel* data_channel();
-  /// Trace of the most recent Refresh/RefreshGroup: named phases with
-  /// wall-clock and the registry counters each moved (see obs::Tracer).
+  /// Trace of the most recent Refresh or RefreshGroup ("refresh-group"):
+  /// one phase timeline with wall-clock and the counters each moved.
   const obs::Tracer& tracer() const { return tracer_; }
   /// A named site's channel.
   Result<Channel*> site_channel(const std::string& site_name);
@@ -391,36 +394,40 @@ class SnapshotSystem {
   Result<SnapshotSite*> GetSite(const std::string& name);
 
   /// Receives every pending message of one site's link into its applier.
-  /// Messages applied for the `attributed` snapshot (when non-null) are
-  /// metered into `stats`; messages of dropped snapshots are discarded.
-  Status DeliverPending(SnapshotSite* site, const SnapshotEntry* attributed,
-                        RefreshStats* stats);
+  /// Messages applied for an `attributed` snapshot are metered into its
+  /// stats as they travelled (encoded, when the wire codec is on);
+  /// messages of dropped snapshots are discarded.
+  Status DeliverPending(SnapshotSite* site,
+                        const std::map<SnapshotId, RefreshStats*>& attributed);
 
-  /// ServeRefresh for the in-process client (Refresh): `local` carries the
-  /// call's method override and epoch hook, and only the local client may
-  /// re-stamp an ASAP snapshot. The executors trace into `tracer`. Fills
-  /// `outcome` on failure too (its session id names what to resume);
-  /// `outcome->stats` and `suppressed` accumulate across attempts.
-  Status ServeRefresh(const ServeRequest& request, MessageSink* wire,
-                      const RefreshRequest* local, obs::Tracer* tracer,
-                      ServeOutcome* outcome);
+  /// The in-process client loop behind Refresh (one member) and
+  /// RefreshGroup (N members of one table and site): demand, serve, apply,
+  /// retry a lone member per `request.retry`, acknowledge. One report per
+  /// member.
+  Result<std::vector<RefreshReport>> RunRefresh(
+      const std::vector<SnapshotEntry*>& members,
+      const RefreshRequest& request, const std::string& trace_name);
 
-  /// One transmission attempt of `method` for the non-join `entry`,
-  /// stamped by `session` on its way into `wire` (the site channel for
-  /// in-process refreshes, the socket transport for served ones). `tracer`
-  /// may be null. Per-method state advances (ideal shadow, log LSN) are
-  /// staged on the descriptor, not committed. `epoch` is the copy-on-write
-  /// cut the executors scan; the same epoch across attempts is what makes
-  /// retries re-transmit the byte-identical stream while writers mutate.
+  /// ServeRefresh over N demands for the in-process client: the table
+  /// admits once and fresh sessions share one scan epoch. `local` carries
+  /// the call's method override and epoch hook, and only the local client
+  /// may re-stamp an ASAP snapshot. Fills `outcomes` on failure too (their
+  /// session ids name what to resume); stats and `suppressed` accumulate.
+  Status ServeRefresh(const std::vector<ServeRequest>& requests,
+                      MessageSink* wire, const RefreshRequest* local,
+                      obs::Tracer* tracer,
+                      std::vector<ServeOutcome>* outcomes);
+
+  /// One transmission attempt of `method` for the non-join `entry` — or a
+  /// differential group of its table — each member stamped by its session
+  /// (GroupRefreshMember::sink) into `wire`. Per-method state advances are
+  /// staged on the descriptor, not committed. `exec.epoch` is the cut the
+  /// executors scan; the same epoch across attempts is what makes retries
+  /// re-transmit the byte-identical stream while writers mutate.
   Status RunRefreshAttempt(SnapshotEntry* entry, RefreshMethod method,
-                           Timestamp request_time,
-                           const ServeRequest& request,
-                           RefreshSession* session, MessageSink* wire,
-                           obs::Tracer* tracer, RefreshStats* stats,
-                           const std::shared_ptr<TableEpoch>& epoch);
-  /// Commits staged per-method refresh state once the snapshot site
-  /// confirmed the session applied (see SnapshotDescriptor).
-  void CommitRefreshOutcome(SnapshotDescriptor* desc);
+                           std::vector<GroupRefreshMember>* members,
+                           MessageSink* wire, obs::Tracer* tracer,
+                           const RefreshExecution& exec);
 
   /// Restores base tables recorded in a checkpointed data file, then
   /// replays the WAL tail (redo + loser undo) on top of them.
@@ -435,16 +442,8 @@ class SnapshotSystem {
   /// Execution knobs for the refresh executors, derived from options_ with
   /// per-request overrides applied. First call resolving workers > 1
   /// constructs the shared pool.
-  RefreshExecution MakeRefreshExecution(std::optional<size_t> workers = {},
-                                        std::optional<size_t> batch_size = {});
-
-  /// Records one completed refresh of `entry` in the metrics registry
-  /// (refresh counters, staleness gauge).
-  void CountRefresh(const SnapshotEntry& entry);
-  /// Ends the open trace and records the refresh (CountRefresh plus the
-  /// duration histogram).
-  void FinishRefreshTrace(const SnapshotEntry& entry,
-                          const RefreshStats& stats);
+  RefreshExecution MakeRefreshExecution(std::optional<size_t> workers,
+                                        std::optional<size_t> batch_size);
 
   SnapshotSystemOptions options_;
 

@@ -192,6 +192,97 @@ TEST_F(GroupRefreshTest, ValidationErrors) {
   ASSERT_TRUE(sys_.CreateSnapshot("other_low", "other", "Salary < 10").ok());
   EXPECT_TRUE(
       sys_.RefreshGroup({"low", "other_low"}).status().IsInvalidArgument());
+
+  // A repeated member is rejected before any demand crosses the link, on
+  // the plain wire and on the encoded one.
+  const uint64_t demands = sys_.request_channel()->stats().messages;
+  EXPECT_TRUE(
+      sys_.RefreshGroup({"low", "low", "high"}).status().IsInvalidArgument());
+  EXPECT_EQ(sys_.request_channel()->stats().messages, demands);
+  SnapshotSystemOptions encoded;
+  encoded.wire_encoding = true;
+  SnapshotSystem enc(encoded);
+  auto enc_base = enc.CreateBaseTable("emp", EmpSchema());
+  ASSERT_TRUE(enc_base.ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*enc_base)->Insert(Row("e" + std::to_string(i), i)).ok());
+  }
+  ASSERT_TRUE(enc.CreateSnapshot("low", "emp", "Salary < 10").ok());
+  ASSERT_TRUE(enc.CreateSnapshot("high", "emp", "Salary >= 10").ok());
+  EXPECT_TRUE(
+      enc.RefreshGroup({"low", "low", "high"}).status().IsInvalidArgument());
+  ASSERT_TRUE(enc.RefreshGroup({"low", "high"}).ok());
+  ExpectFaithful(&enc, "low");
+  ExpectFaithful(&enc, "high");
+}
+
+TEST_F(GroupRefreshTest, GroupSupersedesAStaleServeSession) {
+  // A serve of "low" that its client never acknowledged...
+  auto info = sys_.DescribeSnapshot("low");
+  ASSERT_TRUE(info.ok());
+  SnapshotSystem::ServeRequest request;
+  request.snapshot_id = info->id;
+  Channel lost_link;
+  auto stale = sys_.ServeRefresh(request, &lost_link);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  // ...is superseded by the group's own session for "low", exactly as a
+  // single Refresh would supersede it: the stale ack finds nothing live.
+  ASSERT_TRUE(sys_.RefreshGroup({"low", "high"}).ok());
+  EXPECT_TRUE(sys_.AcknowledgeServe(info->id, stale->session_id).IsNotFound());
+  ExpectFaithful(&sys_, "low");
+  ExpectFaithful(&sys_, "high");
+}
+
+// Ablation A6: one base scan serves the whole group ("much of the extra
+// work is amortized over the set of snapshots"). A group that served its
+// members one after another would fetch about three times the pages.
+TEST(GroupRefreshScanTest, OneScanServesTheWholeGroup) {
+  SnapshotSystem sys;
+  auto base = sys.CreateBaseTable("emp", EmpSchema());
+  ASSERT_TRUE(base.ok());
+  Random rng(29);
+  std::vector<Address> live;
+  for (int i = 0; i < 2000; ++i) {
+    auto a = (*base)->Insert(
+        Row("e" + std::to_string(i), int64_t(rng.Uniform(30))));
+    ASSERT_TRUE(a.ok());
+    live.push_back(*a);
+  }
+  ASSERT_TRUE(sys.CreateSnapshot("low", "emp", "Salary < 10").ok());
+  ASSERT_TRUE(
+      sys.CreateSnapshot("mid", "emp", "Salary >= 10 AND Salary < 20").ok());
+  ASSERT_TRUE(sys.CreateSnapshot("high", "emp", "Salary >= 20").ok());
+  ASSERT_TRUE(sys.RefreshGroup({"low", "mid", "high"}).ok());
+
+  const BufferPoolStats& pool = sys.base_catalog()->buffer_pool()->stats();
+  const auto fetches = [&pool] { return pool.hits + pool.misses; };
+  const auto churn = [&] {
+    for (int op = 0; op < 50; ++op) {
+      ASSERT_TRUE((*base)
+                      ->Update(live[rng.Uniform(live.size())],
+                               Row("u", int64_t(rng.Uniform(30))))
+                      .ok());
+    }
+  };
+
+  churn();
+  const uint64_t before_group = fetches();
+  auto group = sys.RefreshGroup({"low", "mid", "high"});
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  const uint64_t group_fetches = fetches() - before_group;
+  for (const auto& [name, stats] : *group) {
+    EXPECT_EQ(stats.entries_scanned, (*base)->live_rows()) << name;
+    ExpectFaithful(&sys, name);
+  }
+
+  churn();
+  const uint64_t before_single = fetches();
+  ASSERT_TRUE(sys.Refresh(RefreshRequest::For("mid")).ok());
+  const uint64_t single_fetches = fetches() - before_single;
+
+  ASSERT_GT(single_fetches, 0u);
+  EXPECT_LE(group_fetches * 4, single_fetches * 5)
+      << "group " << group_fetches << " vs single " << single_fetches;
 }
 
 }  // namespace
