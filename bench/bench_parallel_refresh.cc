@@ -106,9 +106,9 @@ Result<ConfigResult> RunConfig(size_t rows, int iters, int warmup,
   Timestamp snap_time = kNullTimestamp;
   auto refresh_once = [&](RefreshStats* stats) -> Result<double> {
     const auto t0 = std::chrono::steady_clock::now();
-    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, &desc, snap_time,
-                                               &channel, stats, nullptr,
-                                               exec));
+    std::vector<GroupRefreshMember> members{{&desc, snap_time, stats}};
+    RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(base, &members, &channel,
+                                                    nullptr, exec));
     const auto t1 = std::chrono::steady_clock::now();
     while (channel.HasPending()) {
       ASSIGN_OR_RETURN(Message msg, channel.Receive());

@@ -53,7 +53,7 @@ uint64_t Fnv1a(uint64_t h, std::string_view bytes) {
 }
 
 Result<PathResult> RunMaterializePath(BaseTable* base,
-                                      const Expression& restriction,
+                                      const BoundExpression& restriction,
                                       const std::vector<std::string>& names,
                                       const Schema& projected_schema,
                                       int iters, int warmup, size_t rows) {
@@ -74,8 +74,7 @@ Result<PathResult> RunMaterializePath(BaseTable* base,
               stored.values().begin(),
               stored.values().begin() +
                   static_cast<long>(base->user_schema().column_count())));
-          ASSIGN_OR_RETURN(bool q, EvaluatePredicate(restriction, user,
-                                                     base->user_schema()));
+          ASSIGN_OR_RETURN(bool q, restriction.Qualifies(user));
           if (!q) return Status::OK();
           ASSIGN_OR_RETURN(Tuple projected,
                            user.Project(base->user_schema(), names));
@@ -98,7 +97,8 @@ Result<PathResult> RunMaterializePath(BaseTable* base,
   return out;
 }
 
-Result<PathResult> RunViewPath(BaseTable* base, const Expression& restriction,
+Result<PathResult> RunViewPath(BaseTable* base,
+                               const BoundExpression& restriction,
                                const std::vector<size_t>& indices, int iters,
                                int warmup, size_t rows) {
   PathResult out;
@@ -111,8 +111,7 @@ Result<PathResult> RunViewPath(BaseTable* base, const Expression& restriction,
     const auto t0 = std::chrono::steady_clock::now();
     RETURN_IF_ERROR(base->ScanAnnotated(
         [&](Address, const BaseTable::AnnotatedView& row) -> Status {
-          ASSIGN_OR_RETURN(bool q, EvaluatePredicate(restriction, row.user,
-                                                     base->user_schema()));
+          ASSIGN_OR_RETURN(bool q, restriction.Qualifies(row.user));
           if (!q) return Status::OK();
           payload.clear();
           RETURN_IF_ERROR(row.user.AppendProjectionTo(indices, &payload));
@@ -149,7 +148,9 @@ Status Run(size_t rows, int iters, int warmup,
   RETURN_IF_ERROR(sys.CreateSnapshot("s", "emp", "Salary < 500").status());
   RETURN_IF_ERROR(sys.Refresh(RefreshRequest::For("s")).status());
 
-  ASSIGN_OR_RETURN(ExprPtr restriction, ParsePredicate("Salary < 500"));
+  ASSIGN_OR_RETURN(ExprPtr parsed, ParsePredicate("Salary < 500"));
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   parsed->Bind(base->user_schema()));
   const std::vector<std::string> names = {"Name", "Salary"};
   ASSIGN_OR_RETURN(Schema projected_schema,
                    base->user_schema().Project(names));
@@ -164,10 +165,10 @@ Status Run(size_t rows, int iters, int warmup,
       [](Address, std::string_view) { return Status::OK(); }));
 
   ASSIGN_OR_RETURN(PathResult mat,
-                   RunMaterializePath(base, *restriction, names,
+                   RunMaterializePath(base, restriction, names,
                                       projected_schema, iters, warmup,
                                       rows));
-  ASSIGN_OR_RETURN(PathResult view, RunViewPath(base, *restriction, indices,
+  ASSIGN_OR_RETURN(PathResult view, RunViewPath(base, restriction, indices,
                                                 iters, warmup, rows));
 
   if (mat.qualified != view.qualified || mat.checksum != view.checksum) {

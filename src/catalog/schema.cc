@@ -1,5 +1,6 @@
 #include "catalog/schema.h"
 
+#include "catalog/tuple_view.h"
 #include "common/logging.h"
 
 namespace snapdiff {
@@ -12,6 +13,13 @@ Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {
   for (size_t i = 0; i < columns_.size(); ++i) {
     SNAPDIFF_CHECK(index_.emplace(columns_[i].name, i).second)
         << "duplicate column name: " << columns_[i].name;
+  }
+  uint32_t offset = 0;
+  for (const Column& c : columns_) {
+    fixed_offsets_.push_back(offset);
+    const size_t width = FixedSlotWidth(c.type);
+    if (width == 0) break;  // STRING: later offsets depend on the row
+    offset += width;
   }
 }
 

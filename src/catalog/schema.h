@@ -1,6 +1,7 @@
 #ifndef SNAPDIFF_CATALOG_SCHEMA_H_
 #define SNAPDIFF_CATALOG_SCHEMA_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,6 +41,12 @@ class Schema {
   size_t column_count() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
+
+  /// Serialized payload offsets of the leading columns whose position
+  /// does not depend on the row: every column up to and including the
+  /// first variable-width (STRING) one. Never empty for a non-empty
+  /// schema.
+  const std::vector<uint32_t>& fixed_offsets() const { return fixed_offsets_; }
 
   Result<size_t> IndexOf(std::string_view name) const;
   bool HasColumn(std::string_view name) const;
@@ -82,6 +89,7 @@ class Schema {
   };
 
   std::vector<Column> columns_;
+  std::vector<uint32_t> fixed_offsets_;
   std::unordered_map<std::string, size_t, NameHash, NameEq> index_;
 };
 

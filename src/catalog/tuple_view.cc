@@ -1,34 +1,43 @@
 #include "catalog/tuple_view.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace snapdiff {
+
+size_t FixedSlotWidth(TypeId type) {
+  switch (type) {
+    case TypeId::kBool:
+      return 1;
+    case TypeId::kInt64:
+    case TypeId::kDouble:
+    case TypeId::kTimestamp:
+    case TypeId::kAddress:
+      return 8;
+    case TypeId::kString:
+      return 0;
+  }
+  return 0;  // not a TypeId; SlotWidth reports it
+}
 
 namespace {
 
 /// Width of one encoded slot at the front of `payload`, or an error when
 /// the payload is truncated. Strings include their 4-byte length prefix.
 Result<size_t> SlotWidth(TypeId type, std::string_view payload) {
-  switch (type) {
-    case TypeId::kBool:
-      if (payload.empty()) return Status::Corruption("bool underflow");
-      return size_t{1};
-    case TypeId::kInt64:
-    case TypeId::kDouble:
-    case TypeId::kTimestamp:
-    case TypeId::kAddress:
-      if (payload.size() < 8) return Status::Corruption("fixed underflow");
-      return size_t{8};
-    case TypeId::kString: {
-      if (payload.size() < 4) return Status::Corruption("string underflow");
-      uint32_t len = 0;
-      std::string_view in = payload;
-      RETURN_IF_ERROR(GetFixed32(&in, &len));
-      if (in.size() < len) return Status::Corruption("string underflow");
-      return size_t{4} + len;
-    }
+  if (type != TypeId::kString) {
+    const size_t width = FixedSlotWidth(type);
+    if (width == 0) return Status::Corruption("bad column type");
+    if (payload.size() < width) return Status::Corruption("fixed underflow");
+    return width;
   }
-  return Status::Corruption("bad column type");
+  if (payload.size() < 4) return Status::Corruption("string underflow");
+  uint32_t len = 0;
+  std::string_view in = payload;
+  RETURN_IF_ERROR(GetFixed32(&in, &len));
+  if (in.size() < len) return Status::Corruption("string underflow");
+  return size_t{4} + len;
 }
 
 }  // namespace
@@ -51,8 +60,13 @@ bool TupleView::IsNull(size_t i) const {
 }
 
 Result<std::string_view> TupleView::SeekField(size_t i) const {
-  std::string_view payload = payload_;
-  for (size_t j = 0; j < i; ++j) {
+  // Columns up to the first variable-width one sit at fixed offsets; walk
+  // slot by slot only past it.
+  const std::vector<uint32_t>& fixed = schema_->fixed_offsets();
+  size_t j = std::min(i, fixed.size() - 1);
+  if (payload_.size() < fixed[j]) return Status::Corruption("fixed underflow");
+  std::string_view payload = payload_.substr(fixed[j]);
+  for (; j < i; ++j) {
     ASSIGN_OR_RETURN(size_t width, SlotWidth(schema_->column(j).type, payload));
     payload.remove_prefix(width);
   }
@@ -67,6 +81,14 @@ Result<std::string_view> TupleView::FieldSlot(size_t i) const {
   ASSIGN_OR_RETURN(std::string_view payload, SeekField(i));
   ASSIGN_OR_RETURN(size_t width, SlotWidth(schema_->column(i).type, payload));
   return payload.substr(0, width);
+}
+
+Result<std::string_view> TupleView::SlotsFrom(size_t i) const {
+  if (i >= schema_->column_count()) {
+    return Status::InvalidArgument("field index out of range");
+  }
+  if (i >= stored_) return Status::InvalidArgument("field not stored");
+  return SeekField(i);
 }
 
 Result<Value> TupleView::Field(size_t i) const {
@@ -105,11 +127,6 @@ Result<Value> TupleView::Field(size_t i) const {
   return Status::Corruption("bad column type");
 }
 
-Result<Value> TupleView::Get(std::string_view name) const {
-  ASSIGN_OR_RETURN(size_t idx, schema_->IndexOf(name));
-  return Field(idx);
-}
-
 Status TupleView::AppendProjectionTo(const std::vector<size_t>& indices,
                                      std::string* out) const {
   const size_t n = indices.size();
@@ -132,19 +149,11 @@ Status TupleView::AppendProjectionTo(const std::vector<size_t>& indices,
       continue;
     }
     // Field added after this row was written: synthesize the zeroed slot.
-    switch (schema_->column(i).type) {
-      case TypeId::kBool:
-        out->push_back('\0');
-        break;
-      case TypeId::kInt64:
-      case TypeId::kDouble:
-      case TypeId::kTimestamp:
-      case TypeId::kAddress:
-        out->append(8, '\0');
-        break;
-      case TypeId::kString:
-        PutFixed32(out, 0);
-        break;
+    const TypeId type = schema_->column(i).type;
+    if (type == TypeId::kString) {
+      PutFixed32(out, 0);
+    } else {
+      out->append(FixedSlotWidth(type), '\0');
     }
   }
   return Status::OK();

@@ -13,11 +13,17 @@
 
 namespace snapdiff {
 
+/// Encoded slot width of a column of `type` in the tuple wire format (see
+/// Tuple): 1 for BOOL, 8 for the other fixed-width types, 0 for STRING
+/// (a 4-byte length prefix plus the bytes) and for an unknown type.
+size_t FixedSlotWidth(TypeId type);
+
 /// A non-owning, lazily decoded view over one serialized tuple (the wire
-/// format documented on Tuple). Field access walks the payload from the
-/// front each time — for the narrow schemas this system handles, the walk
-/// is a handful of adds and beats materializing a std::vector<Value> per
-/// row by a wide margin. String fields decode to Value::StringView, so no
+/// format documented on Tuple). Field access jumps to the schema's fixed
+/// offsets (Schema::fixed_offsets) and walks slot by slot only past the
+/// first STRING — for the narrow schemas this system handles, the walk is
+/// a handful of adds and beats materializing a std::vector<Value> per row
+/// by a wide margin. String fields decode to Value::StringView, so no
 /// field access ever allocates.
 ///
 /// Ownership rules (see DESIGN.md "Row representation"): a TupleView
@@ -44,6 +50,13 @@ class TupleView {
   static Result<TupleView> Parse(const Schema& schema,
                                  std::string_view bytes);
 
+  /// The same bytes read through `layout`, which must describe the same
+  /// leading columns as this view's schema (e.g. the user columns of an
+  /// annotated row). No re-parse.
+  TupleView WithSchema(const Schema& layout) const {
+    return TupleView(&layout, bytes_, stored_, bitmap_, payload_);
+  }
+
   const Schema& schema() const { return *schema_; }
   std::string_view bytes() const { return bytes_; }
   /// Fields physically present in the serialized bytes.
@@ -58,13 +71,15 @@ class TupleView {
   /// aliasing the underlying bytes. Precondition: i < field_count().
   Result<Value> Field(size_t i) const;
 
-  /// By-name field access (the view's bound schema does the lookup).
-  Result<Value> Get(std::string_view name) const;
-
   /// The full encoded slot of schema column `i` — fixed-width payload or
   /// length-prefix + bytes — as it sits in the serialized tuple. Empty
   /// for fields beyond stored_field_count().
   Result<std::string_view> FieldSlot(size_t i) const;
+
+  /// The stored payload from the start of schema column `i`'s slot to the
+  /// end of the row, so adjacent fixed-width fields decode in one walk.
+  /// Fails for fields beyond field_count() or stored_field_count().
+  Result<std::string_view> SlotsFrom(size_t i) const;
 
   /// Serializes the projection onto schema columns `indices` (in that
   /// order) into `*out`, byte-identical to
@@ -94,30 +109,6 @@ class TupleView {
   uint16_t stored_ = 0;
   std::string_view bitmap_;
   std::string_view payload_;  // bytes after the bitmap
-};
-
-/// A borrowed row handed to expression evaluation: either an owning Tuple
-/// or a zero-copy TupleView, behind one non-virtual dispatch. Implicitly
-/// constructible from both so every existing `expr->Evaluate(tuple,
-/// schema)` call site keeps compiling while scan loops pass views.
-class RowView {
- public:
-  RowView(const Tuple& tuple)  // NOLINT(google-explicit-constructor)
-      : tuple_(&tuple) {}
-  RowView(const TupleView& view)  // NOLINT(google-explicit-constructor)
-      : view_(&view) {}
-
-  /// By-name field access through `schema`. For a TupleView the bound
-  /// schema must equal `schema` (both name the base table's user schema
-  /// on every evaluation path).
-  Result<Value> Get(const Schema& schema, std::string_view name) const {
-    if (tuple_ != nullptr) return tuple_->Get(schema, name);
-    return view_->Get(name);
-  }
-
- private:
-  const Tuple* tuple_ = nullptr;
-  const TupleView* view_ = nullptr;
 };
 
 }  // namespace snapdiff

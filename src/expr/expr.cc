@@ -1,6 +1,9 @@
 #include "expr/expr.h"
 
 #include <cmath>
+#include <type_traits>
+
+#include "common/coding.h"
 
 namespace snapdiff {
 
@@ -42,11 +45,6 @@ class ColumnRefExpr final : public Expression {
  public:
   explicit ColumnRefExpr(std::string name) : name_(std::move(name)) {}
 
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    return row.Get(schema, name_);
-  }
-
   std::string ToString() const override { return name_; }
 
   ExprKind kind() const override { return ExprKind::kColumnRef; }
@@ -59,15 +57,6 @@ class ColumnRefExpr final : public Expression {
 class LiteralExpr final : public Expression {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
-
-  Result<Value> Evaluate(const RowView&, const Schema&) const override {
-    // A string literal hands out a view of its own (tree-owned) bytes so
-    // per-row evaluation never copies the constant.
-    if (value_.type() == TypeId::kString && !value_.is_null()) {
-      return Value::StringView(value_.as_string_view());
-    }
-    return value_;
-  }
 
   std::string ToString() const override { return value_.ToString(); }
 
@@ -82,29 +71,6 @@ class ComparisonExpr final : public Expression {
  public:
   ComparisonExpr(CmpOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    ASSIGN_OR_RETURN(Value l, lhs_->Evaluate(row, schema));
-    ASSIGN_OR_RETURN(Value r, rhs_->Evaluate(row, schema));
-    if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
-    ASSIGN_OR_RETURN(int cmp, l.Compare(r));
-    switch (op_) {
-      case CmpOp::kEq:
-        return Value::Bool(cmp == 0);
-      case CmpOp::kNe:
-        return Value::Bool(cmp != 0);
-      case CmpOp::kLt:
-        return Value::Bool(cmp < 0);
-      case CmpOp::kLe:
-        return Value::Bool(cmp <= 0);
-      case CmpOp::kGt:
-        return Value::Bool(cmp > 0);
-      case CmpOp::kGe:
-        return Value::Bool(cmp >= 0);
-    }
-    return Status::Internal("bad CmpOp");
-  }
 
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " + std::string(CmpOpToString(op_)) +
@@ -128,28 +94,6 @@ class LogicalExpr final : public Expression {
   LogicalExpr(bool is_and, ExprPtr lhs, ExprPtr rhs)
       : is_and_(is_and), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    ASSIGN_OR_RETURN(Value l, lhs_->Evaluate(row, schema));
-    if (l.type() != TypeId::kBool) return NotBool(l);
-    // Short-circuit where three-valued logic allows it.
-    if (is_and_) {
-      if (!l.is_null() && !l.as_bool()) return Value::Bool(false);
-    } else {
-      if (!l.is_null() && l.as_bool()) return Value::Bool(true);
-    }
-    ASSIGN_OR_RETURN(Value r, rhs_->Evaluate(row, schema));
-    if (r.type() != TypeId::kBool) return NotBool(r);
-    if (is_and_) {
-      if (!r.is_null() && !r.as_bool()) return Value::Bool(false);
-      if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
-      return Value::Bool(true);
-    }
-    if (!r.is_null() && r.as_bool()) return Value::Bool(true);
-    if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
-    return Value::Bool(false);
-  }
-
   std::string ToString() const override {
     return "(" + lhs_->ToString() + (is_and_ ? " AND " : " OR ") +
            rhs_->ToString() + ")";
@@ -163,12 +107,6 @@ class LogicalExpr final : public Expression {
   }
 
  private:
-  static Status NotBool(const Value& v) {
-    return Status::InvalidArgument("logical operand is " +
-                                   std::string(TypeIdToString(v.type())) +
-                                   ", expected BOOL");
-  }
-
   bool is_and_;
   ExprPtr lhs_, rhs_;
 };
@@ -176,16 +114,6 @@ class LogicalExpr final : public Expression {
 class NotExpr final : public Expression {
  public:
   explicit NotExpr(ExprPtr operand) : operand_(std::move(operand)) {}
-
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    ASSIGN_OR_RETURN(Value v, operand_->Evaluate(row, schema));
-    if (v.type() != TypeId::kBool) {
-      return Status::InvalidArgument("NOT operand must be BOOL");
-    }
-    if (v.is_null()) return Value::Null(TypeId::kBool);
-    return Value::Bool(!v.as_bool());
-  }
 
   std::string ToString() const override {
     return "(NOT " + operand_->ToString() + ")";
@@ -205,54 +133,6 @@ class ArithmeticExpr final : public Expression {
   ArithmeticExpr(ArithOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    ASSIGN_OR_RETURN(Value l, lhs_->Evaluate(row, schema));
-    ASSIGN_OR_RETURN(Value r, rhs_->Evaluate(row, schema));
-    if (l.is_null() || r.is_null()) {
-      // Result type follows the wider operand; NULL propagates.
-      const TypeId t = (l.type() == TypeId::kDouble ||
-                        r.type() == TypeId::kDouble)
-                           ? TypeId::kDouble
-                           : TypeId::kInt64;
-      return Value::Null(t);
-    }
-    const bool numeric_l =
-        l.type() == TypeId::kInt64 || l.type() == TypeId::kDouble;
-    const bool numeric_r =
-        r.type() == TypeId::kInt64 || r.type() == TypeId::kDouble;
-    if (!numeric_l || !numeric_r) {
-      return Status::InvalidArgument("arithmetic on non-numeric operands");
-    }
-    if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
-      const int64_t a = l.as_int64(), b = r.as_int64();
-      switch (op_) {
-        case ArithOp::kAdd:
-          return Value::Int64(a + b);
-        case ArithOp::kSub:
-          return Value::Int64(a - b);
-        case ArithOp::kMul:
-          return Value::Int64(a * b);
-        case ArithOp::kDiv:
-          if (b == 0) return Status::InvalidArgument("division by zero");
-          return Value::Int64(a / b);
-      }
-    }
-    const double a = l.as_numeric(), b = r.as_numeric();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Double(a + b);
-      case ArithOp::kSub:
-        return Value::Double(a - b);
-      case ArithOp::kMul:
-        return Value::Double(a * b);
-      case ArithOp::kDiv:
-        if (b == 0.0) return Status::InvalidArgument("division by zero");
-        return Value::Double(a / b);
-    }
-    return Status::Internal("bad ArithOp");
-  }
-
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " +
            std::string(ArithOpToString(op_)) + " " + rhs_->ToString() + ")";
@@ -262,6 +142,7 @@ class ArithmeticExpr final : public Expression {
   const Expression* child(size_t i) const override {
     return i == 0 ? lhs_.get() : (i == 1 ? rhs_.get() : nullptr);
   }
+  ArithOp arith_op() const override { return op_; }
 
  private:
   ArithOp op_;
@@ -273,12 +154,6 @@ class IsNullExpr final : public Expression {
   IsNullExpr(ExprPtr operand, bool negated)
       : operand_(std::move(operand)), negated_(negated) {}
 
-  Result<Value> Evaluate(const RowView& row,
-                         const Schema& schema) const override {
-    ASSIGN_OR_RETURN(Value v, operand_->Evaluate(row, schema));
-    return Value::Bool(v.is_null() != negated_);
-  }
-
   std::string ToString() const override {
     return "(" + operand_->ToString() +
            (negated_ ? " IS NOT NULL)" : " IS NULL)");
@@ -288,6 +163,7 @@ class IsNullExpr final : public Expression {
   const Expression* child(size_t i) const override {
     return i == 0 ? operand_.get() : nullptr;
   }
+  bool negated() const override { return negated_; }
 
  private:
   ExprPtr operand_;
@@ -330,26 +206,359 @@ ExprPtr MakeIsNull(ExprPtr operand, bool negated) {
 
 ExprPtr MakeTrue() { return MakeLiteral(Value::Bool(true)); }
 
-Result<bool> EvaluatePredicate(const Expression& expr, const RowView& row,
-                               const Schema& schema) {
-  ASSIGN_OR_RETURN(Value v, expr.Evaluate(row, schema));
-  if (v.type() != TypeId::kBool) {
-    return Status::InvalidArgument("restriction is not boolean: " +
-                                   expr.ToString());
+// --- Binding ---------------------------------------------------------------
+
+uint32_t BoundExpression::BindNode(const Expression& expr,
+                                   const Schema& schema,
+                                   std::vector<Node>* nodes) {
+  Node node;
+  node.kind = expr.kind();
+  switch (node.kind) {
+    case ExprKind::kColumnRef: {
+      Result<size_t> idx = schema.IndexOf(expr.column_name());
+      if (idx.ok()) {
+        node.column = *idx;
+      } else {
+        node.unresolved = idx.status();
+      }
+      break;
+    }
+    case ExprKind::kLiteral:
+      node.literal = *expr.literal();
+      break;
+    case ExprKind::kComparison:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kArithmetic:
+      node.lhs = BindNode(*expr.child(0), schema, nodes);
+      node.rhs = BindNode(*expr.child(1), schema, nodes);
+      break;
+    case ExprKind::kNot:
+    case ExprKind::kIsNull:
+      node.lhs = BindNode(*expr.child(0), schema, nodes);
+      break;
   }
-  // SQL WHERE semantics: NULL does not qualify.
-  return !v.is_null() && v.as_bool();
+  node.cmp = expr.cmp_op();
+  node.arith = expr.arith_op();
+  node.negated = expr.negated();
+  if (node.kind == ExprKind::kComparison) {
+    const Node& lhs = (*nodes)[node.lhs];
+    const Node& rhs = (*nodes)[node.rhs];
+    const bool col_lit = lhs.kind == ExprKind::kColumnRef &&
+                         rhs.kind == ExprKind::kLiteral;
+    const bool lit_col = lhs.kind == ExprKind::kLiteral &&
+                         rhs.kind == ExprKind::kColumnRef;
+    const Node* col = col_lit ? &lhs : (lit_col ? &rhs : nullptr);
+    const Node* lit = col_lit ? &rhs : (lit_col ? &lhs : nullptr);
+    if (col != nullptr && col->unresolved.ok() && !lit->literal.is_null()) {
+      // The typed comparison follows Value::Compare: INT64 pairs compare
+      // exactly, other numeric pairs as doubles, TIMESTAMP and STRING only
+      // with their own type. Pairs Compare rejects get no fast path, so
+      // they still fail there.
+      const TypeId c = schema.column(col->column).type;
+      const TypeId l = lit->literal.type();
+      const auto numeric = [](TypeId t) {
+        return t == TypeId::kInt64 || t == TypeId::kDouble;
+      };
+      if (c == TypeId::kInt64 && l == TypeId::kInt64) {
+        node.fast = FastCmp::kInt64;
+      } else if (numeric(c) && numeric(l)) {
+        node.fast = FastCmp::kNumeric;
+      } else if (c == l && c == TypeId::kTimestamp) {
+        node.fast = FastCmp::kTimestamp;
+      } else if (c == l && c == TypeId::kString) {
+        node.fast = FastCmp::kString;
+      }
+    }
+    if (node.fast != FastCmp::kNone) {
+      node.column = col->column;
+      node.column_type = schema.column(col->column).type;
+      node.literal_first = lit_col;
+      node.literal = lit->literal;
+      if (node.fast == FastCmp::kNumeric) {
+        node.literal_num = node.literal.as_numeric();
+      } else if (node.fast == FastCmp::kInt64) {
+        node.literal_int = node.literal.as_int64();
+      } else if (node.fast == FastCmp::kTimestamp) {
+        node.literal_int = node.literal.as_timestamp();
+      }
+    }
+  }
+  nodes->push_back(std::move(node));
+  return static_cast<uint32_t>(nodes->size() - 1);
 }
 
-Status ValidateAgainstSchema(const Expression& expr, const Schema& schema) {
+Result<BoundExpression> Expression::Bind(const Schema& schema) const {
+  BoundExpression bound;
+  BoundExpression::BindNode(*this, schema, &bound.nodes_);
+  bound.text_ = ToString();
+  // The compile-time check: evaluate once on a row of NULLs. What this
+  // rejects is exactly what ValidateAgainstSchema always rejected.
   std::vector<Value> nulls;
   nulls.reserve(schema.column_count());
   for (size_t i = 0; i < schema.column_count(); ++i) {
     nulls.push_back(Value::Null(schema.column(i).type));
   }
-  Tuple all_null(std::move(nulls));
-  ASSIGN_OR_RETURN(Value v, expr.Evaluate(all_null, schema));
+  ASSIGN_OR_RETURN(Value v, bound.Evaluate(Tuple(std::move(nulls))));
+  bound.type_ = v.type();
+  return bound;
+}
+
+// --- Bound evaluation ------------------------------------------------------
+
+namespace {
+
+Result<Value> ColumnValue(const TupleView& row, size_t i) {
+  return row.Field(i);
+}
+
+Result<Value> ColumnValue(const Tuple& row, size_t i) {
+  if (i >= row.size()) {
+    return Status::InvalidArgument("tuple narrower than schema");
+  }
+  return row.value(i);
+}
+
+bool Holds(CmpOp op, int cmp) {
+  switch (op) {
+    case CmpOp::kEq:
+      return cmp == 0;
+    case CmpOp::kNe:
+      return cmp != 0;
+    case CmpOp::kLt:
+      return cmp < 0;
+    case CmpOp::kLe:
+      return cmp <= 0;
+    case CmpOp::kGt:
+      return cmp > 0;
+    case CmpOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Value::Compare's mixed-numeric rule: the sign of the difference.
+int SignOfDifference(double a, double b) {
+  const double d = a - b;
+  return d < 0 ? -1 : (d > 0 ? 1 : 0);
+}
+
+Status NotBool(const Value& v) {
+  return Status::InvalidArgument("logical operand is " +
+                                 std::string(TypeIdToString(v.type())) +
+                                 ", expected BOOL");
+}
+
+}  // namespace
+
+Result<BoundExpression::Truth> BoundExpression::FastCompare(
+    const Node& node, const TupleView& row) const {
+  const size_t i = node.column;
+  if (i >= row.field_count()) {
+    return Status::InvalidArgument("field index out of range");
+  }
+  if (row.IsNull(i)) return Truth::kNull;
+  ASSIGN_OR_RETURN(std::string_view slot, row.FieldSlot(i));
+  int cmp = 0;
+  switch (node.fast) {
+    case FastCmp::kInt64:
+    case FastCmp::kTimestamp: {
+      uint64_t raw = 0;
+      RETURN_IF_ERROR(GetFixed64(&slot, &raw));
+      const int64_t v = static_cast<int64_t>(raw);
+      // TupleView decodes the NULL-timestamp sentinel as NULL.
+      if (node.fast == FastCmp::kTimestamp && v == kNullTimestamp) {
+        return Truth::kNull;
+      }
+      cmp = node.literal_first ? ThreeWay(node.literal_int, v)
+                               : ThreeWay(v, node.literal_int);
+      break;
+    }
+    case FastCmp::kNumeric: {
+      double v = 0;
+      if (node.column_type == TypeId::kInt64) {
+        uint64_t raw = 0;
+        RETURN_IF_ERROR(GetFixed64(&slot, &raw));
+        v = static_cast<double>(static_cast<int64_t>(raw));
+      } else {
+        RETURN_IF_ERROR(GetDouble(&slot, &v));
+      }
+      cmp = node.literal_first ? SignOfDifference(node.literal_num, v)
+                               : SignOfDifference(v, node.literal_num);
+      break;
+    }
+    case FastCmp::kString: {
+      const std::string_view v = slot.substr(4);
+      const std::string_view lit = node.literal.as_string_view();
+      const int c = node.literal_first ? lit.compare(v) : v.compare(lit);
+      cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
+      break;
+    }
+    case FastCmp::kNone:
+      return Status::Internal("no fast comparison bound");
+  }
+  return Holds(node.cmp, cmp) ? Truth::kTrue : Truth::kFalse;
+}
+
+template <typename Row>
+Result<Value> BoundExpression::Eval(uint32_t n, const Row& row) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case ExprKind::kColumnRef:
+      if (!node.unresolved.ok()) return node.unresolved;
+      return ColumnValue(row, node.column);
+    case ExprKind::kLiteral:
+      // A string literal hands out a view of its own bytes so per-row
+      // evaluation never copies the constant.
+      if (node.literal.type() == TypeId::kString && !node.literal.is_null()) {
+        return Value::StringView(node.literal.as_string_view());
+      }
+      return node.literal;
+    case ExprKind::kComparison: {
+      if constexpr (std::is_same_v<Row, TupleView>) {
+        if (node.fast != FastCmp::kNone) {
+          ASSIGN_OR_RETURN(Truth t, FastCompare(node, row));
+          if (t == Truth::kNull) return Value::Null(TypeId::kBool);
+          return Value::Bool(t == Truth::kTrue);
+        }
+      }
+      ASSIGN_OR_RETURN(Value l, Eval(node.lhs, row));
+      ASSIGN_OR_RETURN(Value r, Eval(node.rhs, row));
+      if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
+      ASSIGN_OR_RETURN(int cmp, l.Compare(r));
+      return Value::Bool(Holds(node.cmp, cmp));
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      // SQL three-valued AND/OR, short-circuiting where it allows.
+      const bool is_and = node.kind == ExprKind::kAnd;
+      ASSIGN_OR_RETURN(Value l, Eval(node.lhs, row));
+      if (l.type() != TypeId::kBool) return NotBool(l);
+      if (is_and) {
+        if (!l.is_null() && !l.as_bool()) return Value::Bool(false);
+      } else {
+        if (!l.is_null() && l.as_bool()) return Value::Bool(true);
+      }
+      ASSIGN_OR_RETURN(Value r, Eval(node.rhs, row));
+      if (r.type() != TypeId::kBool) return NotBool(r);
+      if (is_and) {
+        if (!r.is_null() && !r.as_bool()) return Value::Bool(false);
+        if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
+        return Value::Bool(true);
+      }
+      if (!r.is_null() && r.as_bool()) return Value::Bool(true);
+      if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBool);
+      return Value::Bool(false);
+    }
+    case ExprKind::kNot: {
+      ASSIGN_OR_RETURN(Value v, Eval(node.lhs, row));
+      if (v.type() != TypeId::kBool) {
+        return Status::InvalidArgument("NOT operand must be BOOL");
+      }
+      if (v.is_null()) return Value::Null(TypeId::kBool);
+      return Value::Bool(!v.as_bool());
+    }
+    case ExprKind::kArithmetic: {
+      ASSIGN_OR_RETURN(Value l, Eval(node.lhs, row));
+      ASSIGN_OR_RETURN(Value r, Eval(node.rhs, row));
+      if (l.is_null() || r.is_null()) {
+        // Result type follows the wider operand; NULL propagates.
+        const TypeId t = (l.type() == TypeId::kDouble ||
+                          r.type() == TypeId::kDouble)
+                             ? TypeId::kDouble
+                             : TypeId::kInt64;
+        return Value::Null(t);
+      }
+      const bool numeric_l =
+          l.type() == TypeId::kInt64 || l.type() == TypeId::kDouble;
+      const bool numeric_r =
+          r.type() == TypeId::kInt64 || r.type() == TypeId::kDouble;
+      if (!numeric_l || !numeric_r) {
+        return Status::InvalidArgument("arithmetic on non-numeric operands");
+      }
+      if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
+        const int64_t a = l.as_int64(), b = r.as_int64();
+        switch (node.arith) {
+          case ArithOp::kAdd:
+            return Value::Int64(a + b);
+          case ArithOp::kSub:
+            return Value::Int64(a - b);
+          case ArithOp::kMul:
+            return Value::Int64(a * b);
+          case ArithOp::kDiv:
+            if (b == 0) return Status::InvalidArgument("division by zero");
+            return Value::Int64(a / b);
+        }
+      }
+      const double a = l.as_numeric(), b = r.as_numeric();
+      switch (node.arith) {
+        case ArithOp::kAdd:
+          return Value::Double(a + b);
+        case ArithOp::kSub:
+          return Value::Double(a - b);
+        case ArithOp::kMul:
+          return Value::Double(a * b);
+        case ArithOp::kDiv:
+          if (b == 0.0) return Status::InvalidArgument("division by zero");
+          return Value::Double(a / b);
+      }
+      return Status::Internal("bad ArithOp");
+    }
+    case ExprKind::kIsNull: {
+      ASSIGN_OR_RETURN(Value v, Eval(node.lhs, row));
+      return Value::Bool(v.is_null() != node.negated);
+    }
+  }
+  return Status::Internal("bad ExprKind");
+}
+
+template <typename Row>
+Result<bool> BoundExpression::Verdict(const Row& row) const {
+  const uint32_t root = static_cast<uint32_t>(nodes_.size() - 1);
+  if constexpr (std::is_same_v<Row, TupleView>) {
+    if (nodes_[root].fast != FastCmp::kNone) {
+      ASSIGN_OR_RETURN(Truth t, FastCompare(nodes_[root], row));
+      return t == Truth::kTrue;
+    }
+  }
+  ASSIGN_OR_RETURN(Value v, Eval(root, row));
   if (v.type() != TypeId::kBool) {
+    return Status::InvalidArgument("restriction is not boolean: " + text_);
+  }
+  // SQL WHERE semantics: NULL does not qualify.
+  return !v.is_null() && v.as_bool();
+}
+
+Result<Value> BoundExpression::Evaluate(const TupleView& row) const {
+  return Eval(static_cast<uint32_t>(nodes_.size() - 1), row);
+}
+
+Result<Value> BoundExpression::Evaluate(const Tuple& row) const {
+  return Eval(static_cast<uint32_t>(nodes_.size() - 1), row);
+}
+
+Result<bool> BoundExpression::Qualifies(const TupleView& row) const {
+  return Verdict(row);
+}
+
+Result<bool> BoundExpression::Qualifies(const Tuple& row) const {
+  return Verdict(row);
+}
+
+Result<bool> EvaluatePredicate(const Expression& expr, const Tuple& row,
+                               const Schema& schema) {
+  ASSIGN_OR_RETURN(BoundExpression bound, expr.Bind(schema));
+  return bound.Qualifies(row);
+}
+
+Status ValidateAgainstSchema(const Expression& expr, const Schema& schema) {
+  ASSIGN_OR_RETURN(BoundExpression bound, expr.Bind(schema));
+  if (bound.type() != TypeId::kBool) {
     return Status::InvalidArgument("restriction is not boolean: " +
                                    expr.ToString());
   }

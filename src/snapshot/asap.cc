@@ -5,12 +5,24 @@
 
 namespace snapdiff {
 
+namespace {
+
+BoundExpression BindOrDie(const Expression& restriction,
+                          const Schema& schema) {
+  auto bound = restriction.Bind(schema);
+  SNAPDIFF_CHECK(bound.ok()) << bound.status().ToString();
+  return std::move(bound).value();
+}
+
+}  // namespace
+
 AsapPropagator::AsapPropagator(SnapshotDescriptor* desc, BaseTable* base,
                                Channel* channel, bool buffer_on_partition)
     : desc_(desc),
       base_(base),
       channel_(channel),
-      buffer_on_partition_(buffer_on_partition) {
+      buffer_on_partition_(buffer_on_partition),
+      restriction_(BindOrDie(*desc->restriction, base->user_schema())) {
   auto projected = base->user_schema().Project(desc->projection);
   SNAPDIFF_CHECK(projected.ok()) << projected.status().ToString();
   projected_schema_ = std::move(projected).value();
@@ -22,8 +34,7 @@ AsapPropagator::AsapPropagator(SnapshotDescriptor* desc, BaseTable* base,
 }
 
 Result<bool> AsapPropagator::Qualifies(const Tuple& user_row) const {
-  return EvaluatePredicate(*desc_->restriction, user_row,
-                           base_->user_schema());
+  return restriction_.Qualifies(user_row);
 }
 
 void AsapPropagator::Propagate(Message msg) {

@@ -78,6 +78,10 @@ class AsapPropagator : public TableObserver {
   BaseTable* base_;
   Channel* channel_;
   bool buffer_on_partition_;
+  /// Bound once: ASAP evaluates on every base operation, and a base
+  /// table's user columns never change (annotations are appended to the
+  /// stored schema only).
+  BoundExpression restriction_;
   Schema projected_schema_;
   /// Guards buffer_ + stats_ against a refresh draining (FlushBuffered)
   /// while writer threads propagate. Observer callbacks already run under

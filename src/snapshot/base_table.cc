@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "snapshot/secondary_index.h"
 
@@ -278,21 +279,46 @@ Result<BaseTable::AnnotatedRow> BaseTable::ReadAnnotated(Address addr) {
   return SplitStored(stored);
 }
 
-Result<BaseTable::AnnotatedView> BaseTable::SplitStoredView(
+BaseTable::RowSplitter BaseTable::Splitter() const {
+  RowSplitter split(&info_->schema, &user_schema_);
+  const Schema& stored = info_->schema;
+  Result<size_t> prev = stored.IndexOf(Schema::kPrevAddrColumn);
+  Result<size_t> ts = stored.IndexOf(Schema::kTimestampColumn);
+  if (prev.ok() && ts.ok()) {
+    // Schema::WithAnnotations appends $TIMESTAMP$ right after $PREVADDR$,
+    // both fixed-width, so one slot walk reads the pair.
+    SNAPDIFF_CHECK(*ts == *prev + 1) << "annotation columns not adjacent";
+    split.annotated_ = true;
+    split.prev_index_ = *prev;
+  }
+  return split;
+}
+
+Result<BaseTable::AnnotatedView> BaseTable::RowSplitter::operator()(
     std::string_view bytes) const {
   AnnotatedView row;
   row.raw = bytes;
-  ASSIGN_OR_RETURN(row.user, TupleView::Parse(user_schema_, bytes));
-  if (info_->schema.HasAnnotations()) {
-    ASSIGN_OR_RETURN(TupleView stored, TupleView::Parse(info_->schema, bytes));
-    ASSIGN_OR_RETURN(Value prev, stored.Field(info_->schema.PrevAddrIndex()));
-    ASSIGN_OR_RETURN(Value ts, stored.Field(info_->schema.TimestampIndex()));
-    row.prev_addr = prev.as_address();
-    row.timestamp = ts.as_timestamp();
-  } else {
-    row.prev_addr = Address::Null();
-    row.timestamp = kNullTimestamp;
+  row.prev_addr = Address::Null();
+  row.timestamp = kNullTimestamp;
+  if (!annotated_) {
+    ASSIGN_OR_RETURN(row.user, TupleView::Parse(*user_, bytes));
+    return row;
   }
+  ASSIGN_OR_RETURN(TupleView stored, TupleView::Parse(*stored_, bytes));
+  row.user = stored.WithSchema(*user_);
+  const size_t ts_index = prev_index_ + 1;
+  // A row written before the annotation columns were added stores
+  // neither: both read as NULL.
+  if (ts_index >= stored.stored_field_count()) return row;
+  ASSIGN_OR_RETURN(std::string_view slots, stored.SlotsFrom(prev_index_));
+  uint64_t prev = 0;
+  uint64_t ts = 0;
+  RETURN_IF_ERROR(GetFixed64(&slots, &prev));
+  RETURN_IF_ERROR(GetFixed64(&slots, &ts));
+  // A NULL bit decodes to the sentinels, as Field() + as_address() /
+  // as_timestamp() would.
+  if (!stored.IsNull(prev_index_)) row.prev_addr = Address::FromRaw(prev);
+  if (!stored.IsNull(ts_index)) row.timestamp = static_cast<Timestamp>(ts);
   return row;
 }
 

@@ -120,9 +120,33 @@ class BaseTable {
   Result<Tuple> ReadUserRow(Address addr);
   Result<AnnotatedRow> ReadAnnotated(Address addr);
 
-  /// Splits stored tuple bytes (pinned by the caller) into a user-schema
-  /// TupleView plus decoded annotations — no materialization.
-  Result<AnnotatedView> SplitStoredView(std::string_view bytes) const;
+  /// Splits stored rows into a user-schema TupleView plus decoded
+  /// annotations, with the annotation slots resolved when the splitter is
+  /// made: each row is parsed once and no column name is looked up per
+  /// row. Make one per scan — SetMode and Catalog::AddAnnotationColumns
+  /// reassign the schemas it reads in place.
+  class RowSplitter {
+   public:
+    Result<AnnotatedView> operator()(std::string_view bytes) const;
+
+   private:
+    friend class BaseTable;
+    RowSplitter(const Schema* stored, const Schema* user)
+        : stored_(stored), user_(user) {}
+
+    const Schema* stored_;
+    const Schema* user_;
+    bool annotated_ = false;
+    size_t prev_index_ = 0;  // $TIMESTAMP$ follows at prev_index_ + 1
+  };
+  RowSplitter Splitter() const;
+
+  /// Splits one stored row (pinned by the caller) into a user-schema
+  /// TupleView plus decoded annotations — no materialization. Scans use a
+  /// Splitter() made once instead.
+  Result<AnnotatedView> SplitStoredView(std::string_view bytes) const {
+    return Splitter()(bytes);
+  }
 
   /// Visits live rows in address order with their annotations, handing
   /// each one to `fn(Address, const AnnotatedView&)`. The view (and
@@ -132,9 +156,10 @@ class BaseTable {
   /// defer fix-up writes until after the scan).
   template <typename Fn>
   Status ScanAnnotated(Fn&& fn) {
+    const RowSplitter split = Splitter();
     return info_->heap->ForEach(
         [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
+          ASSIGN_OR_RETURN(AnnotatedView row, split(bytes));
           return fn(addr, row);
         });
   }
@@ -157,10 +182,11 @@ class BaseTable {
   /// view-lifetime rules as ScanAnnotated.
   template <typename Fn>
   Status ScanAnnotatedRange(const ScanPartition& part, Fn&& fn) {
+    const RowSplitter split = Splitter();
     return info_->heap->ForEachInPageRange(
         part.first_page, part.page_count,
         [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
+          ASSIGN_OR_RETURN(AnnotatedView row, split(bytes));
           return fn(addr, row);
         });
   }
@@ -177,9 +203,10 @@ class BaseTable {
   /// while writers keep mutating. Same view-lifetime rules as ScanAnnotated.
   template <typename Fn>
   Status ScanAnnotatedAtEpoch(const TableEpoch& epoch, Fn&& fn) {
+    const RowSplitter split = Splitter();
     return epoch.ForEach(
         [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
+          ASSIGN_OR_RETURN(AnnotatedView row, split(bytes));
           return fn(addr, row);
         });
   }
@@ -189,10 +216,11 @@ class BaseTable {
   template <typename Fn>
   Status ScanAnnotatedRangeAtEpoch(const TableEpoch& epoch,
                                    const ScanPartition& part, Fn&& fn) {
+    const RowSplitter split = Splitter();
     return epoch.ForEachInPageRange(
         part.first_page, part.page_count,
         [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
+          ASSIGN_OR_RETURN(AnnotatedView row, split(bytes));
           return fn(addr, row);
         });
   }

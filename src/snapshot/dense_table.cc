@@ -92,6 +92,7 @@ Status DenseTable::SimpleRefresh(Timestamp snap_time,
                                  const Expression& restriction,
                                  SnapshotId snapshot_id, MessageSink* channel,
                                  RefreshStats* stats) {
+  ASSIGN_OR_RETURN(BoundExpression bound, restriction.Bind(user_schema_));
   const Timestamp now = oracle_->Next();
   for (size_t i = 1; i <= elements_.size(); ++i) {
     const Element& e = elements_[i - 1];
@@ -100,8 +101,7 @@ Status DenseTable::SimpleRefresh(Timestamp snap_time,
     const Address addr = Address::FromRaw(i);
     bool send_value = false;
     if (e.occupied) {
-      ASSIGN_OR_RETURN(bool qualified,
-                       EvaluatePredicate(restriction, *e.row, user_schema_));
+      ASSIGN_OR_RETURN(bool qualified, bound.Qualifies(*e.row));
       send_value = qualified;
     }
     if (send_value) {

@@ -19,11 +19,12 @@ namespace snapdiff {
 
 namespace {
 
-/// Per-member transmit state (Figure 3) and bound projection. The
-/// projection is resolved to user-schema column indices once, so per-row
-/// payload serialization never does a by-name lookup.
+/// Per-member transmit state (Figure 3) with the member's restriction and
+/// projection bound to user-schema column indices once per refresh, so
+/// per-row evaluation and payload serialization never look a name up.
 struct MemberState {
   GroupRefreshMember member;
+  BoundExpression restriction;
   std::vector<size_t> projection_indices;
   Address last_qual = Address::Origin();
   bool deletion = false;
@@ -311,8 +312,7 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
           const MemberState& st = states[i];
           const SnapshotDescriptor& desc = *st.member.desc;
           ASSIGN_OR_RETURN(const bool qualified,
-                           EvaluatePredicate(*desc.restriction, row.user,
-                                             base->user_schema()));
+                           st.restriction.Qualifies(row.user));
           const Tri ts_fresh =
               ts_is_stored ? (row.timestamp > st.member.snap_time
                                   ? Tri::kTrue
@@ -411,7 +411,10 @@ Status ExecuteGroupDifferentialRefresh(
   std::vector<MemberState> states;
   states.reserve(members->size());
   for (GroupRefreshMember& m : *members) {
-    MemberState state{m, {}, Address::Origin(), false};
+    ASSIGN_OR_RETURN(BoundExpression restriction,
+                     m.desc->restriction->Bind(base->user_schema()));
+    MemberState state{m, std::move(restriction), {}, Address::Origin(),
+                      false};
     state.projection_indices.reserve(m.desc->projection.size());
     for (const std::string& name : m.desc->projection) {
       ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
@@ -645,9 +648,7 @@ Status ExecuteGroupDifferentialRefresh(
             for (size_t k = 0; k < fills.size(); ++k) {
               ASSIGN_OR_RETURN(
                   const bool qualified,
-                  EvaluatePredicate(
-                      *states[fills[k].rep].member.desc->restriction,
-                      row.user, base->user_schema()));
+                  states[fills[k].rep].restriction.Qualifies(row.user));
               fill_qualified[k] = qualified ? 1 : 0;
             }
             RETURN_IF_ERROR(ObserveFills(
@@ -667,8 +668,7 @@ Status ExecuteGroupDifferentialRefresh(
                 if (fill_of_member[i] != kNoFill) {
                   return fill_qualified[fill_of_member[i]] != 0;
                 }
-                return EvaluatePredicate(*states[i].member.desc->restriction,
-                                         row.user, base->user_schema());
+                return states[i].restriction.Qualifies(row.user);
               },
               [&](size_t i, const MemberState& state) -> Result<std::string> {
                 (void)i;
@@ -759,15 +759,6 @@ Status ExecuteGroupDifferentialRefresh(
         << obs::kv("fixups_deleted", state.member.stats->fixups_deleted);
   }
   return Status::OK();
-}
-
-Status ExecuteDifferentialRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                                  Timestamp snap_time, MessageSink* channel,
-                                  RefreshStats* stats, obs::Tracer* tracer,
-                                  const RefreshExecution& exec) {
-  std::vector<GroupRefreshMember> members{{desc, snap_time, stats}};
-  return ExecuteGroupDifferentialRefresh(base, &members, channel, tracer,
-                                         exec);
 }
 
 }  // namespace snapdiff

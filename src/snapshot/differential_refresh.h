@@ -8,6 +8,19 @@
 
 namespace snapdiff {
 
+/// One member of a group refresh: a snapshot being served, its SnapTime
+/// from the refresh request, and where to accumulate its meters.
+struct GroupRefreshMember {
+  SnapshotDescriptor* desc;
+  Timestamp snap_time;
+  RefreshStats* stats;
+  /// Non-null: this member's messages go through this sink (typically a
+  /// RefreshSession stamping session id + per-message seq) instead of the
+  /// shared exec.session/channel stream, each member batching
+  /// independently. Null keeps the legacy shared single-stream framing.
+  MessageSink* sink = nullptr;
+};
+
 /// The paper's differential snapshot refresh: one sequential scan of the
 /// base table that (a) repairs the $PREVADDR$/$TIMESTAMP$ annotations left
 /// NULL by lazily maintained base operations (Figure 7's BaseFixup) and
@@ -27,9 +40,8 @@ namespace snapdiff {
 /// Works for both kLazy (fix-up active) and kEager (fix-up finds nothing to
 /// repair) annotation modes; fails for kNone.
 ///
-/// `snap_time` is the SnapTime from the refresh request. On success the new
-/// SnapTime (= the fix-up timestamp) has been transmitted in the closing
-/// message and recorded in stats->new_snap_time.
+/// Each member's `snap_time` is the SnapTime from its refresh request; the
+/// new SnapTime (= the fix-up timestamp) closes every member's stream.
 /// `tracer`, when given, receives nested spans (scan+transmit,
 /// fixup-writes, end-of-refresh; the parallel path replaces scan+transmit
 /// with partition-extract and merge+transmit) under the caller's current
@@ -43,27 +55,9 @@ namespace snapdiff {
 /// message stream is byte-identical to the sequential scan. With
 /// `batch_size > 1` consecutive ENTRY messages per snapshot coalesce into
 /// ENTRY_BATCH wire messages (see BatchingSender).
-Status ExecuteDifferentialRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                                  Timestamp snap_time, MessageSink* channel,
-                                  RefreshStats* stats,
-                                  obs::Tracer* tracer = nullptr,
-                                  const RefreshExecution& exec = {});
-
-/// One member of a group refresh: a snapshot being served, its SnapTime
-/// from the refresh request, and where to accumulate its meters.
-struct GroupRefreshMember {
-  SnapshotDescriptor* desc;
-  Timestamp snap_time;
-  RefreshStats* stats;
-  /// Non-null: this member's messages go through this sink (typically a
-  /// RefreshSession stamping session id + per-message seq) instead of the
-  /// shared exec.session/channel stream, each member batching
-  /// independently. Null keeps the legacy shared single-stream framing.
-  MessageSink* sink = nullptr;
-};
-
-/// Refreshes several snapshots of the same base table in ONE combined
-/// fix-up + transmit scan — the amortization the paper promises ("much of
+///
+/// One call refreshes one or more snapshots of the same base table in ONE
+/// combined fix-up + transmit scan — the amortization the paper promises ("much of
 /// the extra work is amortized over the set of snapshots depending upon
 /// the base table"). The fix-up runs once; each member keeps its own
 /// Figure-3 transmit state (LastQual, Deletion flag) against its own

@@ -164,6 +164,7 @@ Status EmptyRegionTable::Refresh(Timestamp snap_time,
                                  SnapshotId snapshot_id,
                                  bool merge_across_unqualified,
                                  MessageSink* channel, RefreshStats* stats) {
+  ASSIGN_OR_RETURN(BoundExpression bound, restriction.Bind(user_schema_));
   const Timestamp now = oracle_->Next();
 
   struct Pending {
@@ -210,8 +211,7 @@ Status EmptyRegionTable::Refresh(Timestamp snap_time,
     const uint64_t addr = entry_it->first;
     const Entry& entry = entry_it->second;
     ++stats->entries_scanned;
-    ASSIGN_OR_RETURN(bool qualified, EvaluatePredicate(restriction, entry.row,
-                                                       user_schema_));
+    ASSIGN_OR_RETURN(bool qualified, bound.Qualifies(entry.row));
     const bool dirty = entry.ts > snap_time;
     if (qualified) {
       // A qualified entry bounds any combined empty region.

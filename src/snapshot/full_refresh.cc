@@ -35,6 +35,8 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
     ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
     projection_indices.push_back(idx);
   }
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   desc->restriction->Bind(base->user_schema()));
   const Timestamp now = base->oracle()->Next();
   MessageSink* sink = exec.session != nullptr
                           ? static_cast<MessageSink*>(exec.session)
@@ -61,18 +63,16 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
     ASSIGN_OR_RETURN(std::vector<Address> addresses,
                      index->SelectRange(*range));
     span.Note("candidates", addresses.size());
+    const BaseTable::RowSplitter split = base->Splitter();
     for (Address addr : addresses) {
       ++stats->base_reads;
       // Point read through the pin guard: the view (and the payload
       // serialization below) runs against the pinned frame directly.
       ASSIGN_OR_RETURN(TableHeap::TupleRef ref,
                        base->info()->heap->GetView(addr));
-      ASSIGN_OR_RETURN(BaseTable::AnnotatedView row,
-                       base->SplitStoredView(ref.bytes));
+      ASSIGN_OR_RETURN(BaseTable::AnnotatedView row, split(ref.bytes));
       if (!range->exact) {
-        ASSIGN_OR_RETURN(bool qualified,
-                         EvaluatePredicate(*desc->restriction, row.user,
-                                           base->user_schema()));
+        ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
         if (!qualified) continue;
       }
       RETURN_IF_ERROR(TransmitRow(desc, projection_indices, addr, row.user,
@@ -94,6 +94,7 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
     span.Note("candidates", addresses.size());
     std::vector<std::pair<Address, std::string>> rows;
     rows.reserve(addresses.size());
+    const BaseTable::RowSplitter split = base->Splitter();
     bool exact = true;
     for (Address addr : addresses) {
       ++stats->base_reads;
@@ -103,12 +104,9 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
         exact = false;
         break;
       }
-      ASSIGN_OR_RETURN(BaseTable::AnnotatedView row,
-                       base->SplitStoredView(*bytes));
+      ASSIGN_OR_RETURN(BaseTable::AnnotatedView row, split(*bytes));
       if (!range->exact) {
-        ASSIGN_OR_RETURN(bool qualified,
-                         EvaluatePredicate(*desc->restriction, row.user,
-                                           base->user_schema()));
+        ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
         if (!qualified) continue;
       }
       std::string payload;
@@ -129,9 +127,7 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
           epoch,
           [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
             ++stats->entries_scanned;
-            ASSIGN_OR_RETURN(bool qualified,
-                             EvaluatePredicate(*desc->restriction, row.user,
-                                               base->user_schema()));
+            ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
             if (!qualified) return Status::OK();
             ASSIGN_OR_RETURN(Value v, row.user.Field(col_idx));
             if (v.is_null()) return Status::OK();  // never indexed
@@ -164,9 +160,7 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
     auto visit =
         [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
       ++stats->entries_scanned;
-      ASSIGN_OR_RETURN(bool qualified,
-                       EvaluatePredicate(*desc->restriction, row.user,
-                                         base->user_schema()));
+      ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
       if (!qualified) return Status::OK();
       return TransmitRow(desc, projection_indices, addr, row.user, &sender,
                          exec);

@@ -14,6 +14,8 @@ Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
     ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
     projection_indices.push_back(idx);
   }
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   desc->restriction->Bind(base->user_schema()));
   const Timestamp now = base->oracle()->Next();
   MessageSink* sink = exec.session != nullptr
                           ? static_cast<MessageSink*>(exec.session)
@@ -25,9 +27,7 @@ Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
   auto visit =
       [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
     ++stats->entries_scanned;
-    ASSIGN_OR_RETURN(bool qualified,
-                     EvaluatePredicate(*desc->restriction, row.user,
-                                       base->user_schema()));
+    ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
     if (!qualified) return Status::OK();
     std::string payload;
     RETURN_IF_ERROR(

@@ -53,6 +53,8 @@ Status EvaluateJoin(
   ASSIGN_OR_RETURN(
       size_t right_key_idx,
       desc->right->user_schema().IndexOf(desc->join_right_column));
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   desc->restriction->Bind(desc->combined_schema));
 
   // Build side: the right input.
   std::unordered_multimap<std::string, Tuple> build;
@@ -84,9 +86,7 @@ Status EvaluateJoin(
           std::vector<Value> combined = probe.values();
           for (const Value& v : it->second.values()) combined.push_back(v);
           Tuple joined(std::move(combined));
-          ASSIGN_OR_RETURN(bool qualified,
-                           EvaluatePredicate(*desc->restriction, joined,
-                                             desc->combined_schema));
+          ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(joined));
           if (!qualified) continue;
           ASSIGN_OR_RETURN(Tuple projected,
                            joined.Project(desc->combined_schema,

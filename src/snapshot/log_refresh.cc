@@ -49,11 +49,13 @@ Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
     return Status::OK();
   }
 
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   desc->restriction->Bind(base->user_schema()));
   auto qualifies = [&](const std::string& image) -> Result<bool> {
     if (image.empty()) return false;
     ASSIGN_OR_RETURN(Tuple row,
                      Tuple::Deserialize(base->user_schema(), image));
-    return EvaluatePredicate(*desc->restriction, row, base->user_schema());
+    return restriction.Qualifies(row);
   };
 
   obs::Tracer::Span transmit_span(tracer, "transmit");

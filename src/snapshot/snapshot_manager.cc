@@ -1122,12 +1122,12 @@ Result<std::map<Address, Tuple>> SnapshotSystem::ExpectedContents(
   }
   const SnapshotDescriptor& desc = entry->descriptor;
   BaseTable* base = entry->source;
+  ASSIGN_OR_RETURN(BoundExpression restriction,
+                   desc.restriction->Bind(base->user_schema()));
   std::map<Address, Tuple> out;
   RETURN_IF_ERROR(base->ScanAnnotated(
       [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
-        ASSIGN_OR_RETURN(bool qualified,
-                         EvaluatePredicate(*desc.restriction, row.user,
-                                           base->user_schema()));
+        ASSIGN_OR_RETURN(bool qualified, restriction.Qualifies(row.user));
         if (!qualified) return Status::OK();
         ASSIGN_OR_RETURN(Tuple user, row.user.Materialize());
         ASSIGN_OR_RETURN(Tuple projected,

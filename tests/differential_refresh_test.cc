@@ -89,9 +89,9 @@ TEST_F(PaperFigure56Test, RefreshMessagesMatchFigure6) {
   // to inspect the wire.
   desc.restriction = *restriction;
   desc.projection = {"Name", "Salary"};
-  ASSERT_TRUE(ExecuteDifferentialRefresh(base_, &desc, snap_->snap_time(),
-                                         &channel, &stats)
-                  .ok());
+  std::vector<GroupRefreshMember> members{
+      {&desc, snap_->snap_time(), &stats}};
+  ASSERT_TRUE(ExecuteGroupDifferentialRefresh(base_, &members, &channel).ok());
 
   // Figure 6's message table: (2, 0, Laura 6), (5, 2, Mohan 9), (NULL, 6).
   auto m1 = channel.Receive();

@@ -11,6 +11,12 @@ Schema EmpSchema() {
                  {"Bonus", TypeId::kDouble, true}});
 }
 
+/// One-shot evaluation: bind to `s`, then evaluate `row`.
+Result<Value> Eval(const ExprPtr& e, const Tuple& row, const Schema& s) {
+  ASSIGN_OR_RETURN(BoundExpression bound, e->Bind(s));
+  return bound.Evaluate(row);
+}
+
 Tuple Row(std::string name, int64_t salary, Value bonus) {
   return Tuple({Value::String(std::move(name)), Value::Int64(salary),
                 std::move(bonus)});
@@ -19,10 +25,10 @@ Tuple Row(std::string name, int64_t salary, Value bonus) {
 TEST(ExprTest, ColumnRefAndLiteral) {
   Schema s = EmpSchema();
   Tuple row = Row("Bruce", 15, Value::Double(1.0));
-  auto v = MakeColumnRef("Salary")->Evaluate(row, s);
+  auto v = Eval(MakeColumnRef("Salary"), row, s);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->as_int64(), 15);
-  auto lit = MakeLiteral(Value::Int64(10))->Evaluate(row, s);
+  auto lit = Eval(MakeLiteral(Value::Int64(10)), row, s);
   ASSERT_TRUE(lit.ok());
   EXPECT_EQ(lit->as_int64(), 10);
 }
@@ -30,7 +36,7 @@ TEST(ExprTest, ColumnRefAndLiteral) {
 TEST(ExprTest, UnknownColumnErrors) {
   Schema s = EmpSchema();
   Tuple row = Row("x", 1, Value::Double(0));
-  EXPECT_FALSE(MakeColumnRef("Dept")->Evaluate(row, s).ok());
+  EXPECT_FALSE(Eval(MakeColumnRef("Dept"), row, s).ok());
 }
 
 TEST(ExprTest, ComparisonOperators) {
@@ -93,12 +99,12 @@ TEST(ExprTest, ThreeValuedAnd) {
                                  MakeLiteral(Value::Double(0.0)));
   // FALSE AND NULL = FALSE (not an error, not NULL).
   auto false_lit = MakeLiteral(Value::Bool(false));
-  auto e1 = MakeAnd(false_lit, null_cmp)->Evaluate(row, s);
+  auto e1 = Eval(MakeAnd(false_lit, null_cmp), row, s);
   ASSERT_TRUE(e1.ok());
   EXPECT_FALSE(e1->is_null());
   EXPECT_FALSE(e1->as_bool());
   // TRUE AND NULL = NULL.
-  auto e2 = MakeAnd(MakeTrue(), null_cmp)->Evaluate(row, s);
+  auto e2 = Eval(MakeAnd(MakeTrue(), null_cmp), row, s);
   ASSERT_TRUE(e2.ok());
   EXPECT_TRUE(e2->is_null());
 }
@@ -109,12 +115,11 @@ TEST(ExprTest, ThreeValuedOr) {
   auto null_cmp = MakeComparison(CmpOp::kGt, MakeColumnRef("Bonus"),
                                  MakeLiteral(Value::Double(0.0)));
   // TRUE OR NULL = TRUE.
-  auto e1 = MakeOr(MakeTrue(), null_cmp)->Evaluate(row, s);
+  auto e1 = Eval(MakeOr(MakeTrue(), null_cmp), row, s);
   ASSERT_TRUE(e1.ok());
   EXPECT_TRUE(e1->as_bool());
   // FALSE OR NULL = NULL.
-  auto e2 = MakeOr(MakeLiteral(Value::Bool(false)), null_cmp)
-                ->Evaluate(row, s);
+  auto e2 = Eval(MakeOr(MakeLiteral(Value::Bool(false)), null_cmp), row, s);
   ASSERT_TRUE(e2.ok());
   EXPECT_TRUE(e2->is_null());
 }
@@ -122,12 +127,12 @@ TEST(ExprTest, ThreeValuedOr) {
 TEST(ExprTest, NotAndNullPropagation) {
   Schema s = EmpSchema();
   Tuple row = Row("x", 5, Value::Null(TypeId::kDouble));
-  auto e = MakeNot(MakeLiteral(Value::Bool(true)))->Evaluate(row, s);
+  auto e = Eval(MakeNot(MakeLiteral(Value::Bool(true))), row, s);
   ASSERT_TRUE(e.ok());
   EXPECT_FALSE(e->as_bool());
   auto null_cmp = MakeComparison(CmpOp::kGt, MakeColumnRef("Bonus"),
                                  MakeLiteral(Value::Double(0.0)));
-  auto en = MakeNot(null_cmp)->Evaluate(row, s);
+  auto en = Eval(MakeNot(null_cmp), row, s);
   ASSERT_TRUE(en.ok());
   EXPECT_TRUE(en->is_null());
 }
@@ -140,13 +145,13 @@ TEST(ExprTest, Arithmetic) {
                                             MakeColumnRef("Salary"),
                                             MakeLiteral(Value::Int64(2))),
                              MakeLiteral(Value::Int64(1)));
-  auto v = expr->Evaluate(row, s);
+  auto v = Eval(expr, row, s);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->as_int64(), 15);
 
   auto mixed = MakeArithmetic(ArithOp::kMul, MakeColumnRef("Bonus"),
                               MakeLiteral(Value::Int64(4)));
-  auto m = mixed->Evaluate(row, s);
+  auto m = Eval(mixed, row, s);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->as_double(), 2.0);
 }
@@ -156,7 +161,7 @@ TEST(ExprTest, DivisionByZeroErrors) {
   Tuple row = Row("x", 1, Value::Double(0));
   auto e = MakeArithmetic(ArithOp::kDiv, MakeColumnRef("Salary"),
                           MakeLiteral(Value::Int64(0)));
-  EXPECT_FALSE(e->Evaluate(row, s).ok());
+  EXPECT_FALSE(Eval(e, row, s).ok());
 }
 
 TEST(ExprTest, IsNull) {

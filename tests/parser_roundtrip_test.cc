@@ -80,6 +80,13 @@ Tuple RandomRow(Random* rng) {
                 Value::Bool(rng->Bernoulli(0.5))});
 }
 
+/// One-shot evaluation: bind to `schema`, then evaluate `row`.
+Result<Value> Eval(const Expression& e, const Tuple& row,
+                   const Schema& schema) {
+  ASSIGN_OR_RETURN(BoundExpression bound, e.Bind(schema));
+  return bound.Evaluate(row);
+}
+
 class ParserRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParserRoundTripTest, PrintParsePrintFixpointAndSemantics) {
@@ -94,8 +101,8 @@ TEST_P(ParserRoundTripTest, PrintParsePrintFixpointAndSemantics) {
 
     for (int r = 0; r < 5; ++r) {
       Tuple row = RandomRow(&rng);
-      auto v1 = original->Evaluate(row, schema);
-      auto v2 = (*reparsed)->Evaluate(row, schema);
+      auto v1 = Eval(*original, row, schema);
+      auto v2 = Eval(**reparsed, row, schema);
       ASSERT_EQ(v1.ok(), v2.ok()) << printed;
       if (v1.ok()) {
         EXPECT_TRUE(v1->Equals(*v2)) << printed;

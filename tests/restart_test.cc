@@ -50,9 +50,8 @@ class RestartTest : public ::testing::Test {
     desc.restriction = restriction_;
     desc.projection = {"Name", "Salary"};
     Channel channel;
-    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, &desc,
-                                               snap->snap_time(), &channel,
-                                               stats));
+    std::vector<GroupRefreshMember> members{{&desc, snap->snap_time(), stats}};
+    RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(base, &members, &channel));
     stats->traffic = channel.stats();
     while (channel.HasPending()) {
       ASSIGN_OR_RETURN(Message m, channel.Receive());
@@ -65,12 +64,12 @@ class RestartTest : public ::testing::Test {
     auto contents = snap_->Contents();
     ASSERT_TRUE(contents.ok());
     std::map<Address, Tuple> expected;
+    auto bound = restriction_->Bind(base->user_schema());
+    ASSERT_TRUE(bound.ok());
     ASSERT_TRUE(base->ScanAnnotated([&](Address addr,
                                         const BaseTable::AnnotatedView& row)
                                         -> Status {
-                      ASSIGN_OR_RETURN(
-                          bool q, EvaluatePredicate(*restriction_, row.user,
-                                                    base->user_schema()));
+                      ASSIGN_OR_RETURN(bool q, bound->Qualifies(row.user));
                       if (q) {
                         ASSIGN_OR_RETURN(Tuple user, row.user.Materialize());
                         expected.emplace(addr, std::move(user));

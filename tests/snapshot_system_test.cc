@@ -92,6 +92,54 @@ TEST(SnapshotSystemTest, FirstDifferentialSnapshotAnnotatesTable) {
   ExpectFaithful(&sys, "low");
 }
 
+TEST(SnapshotSystemTest, BindingsFollowAnnotationColumnsAddedLater) {
+  // Refreshes bind restrictions and resolve the annotation slots per
+  // refresh. Adding the annotation columns reassigns the stored and user
+  // schemas in place (same addresses), so anything resolved before that —
+  // here by a full refresh over the unannotated layout — must not be
+  // reused: the differential refresh would read the wrong slots, see NULL
+  // annotations on every row and resend the whole table each time.
+  SnapshotSystem sys;
+  auto base = sys.CreateBaseTable("emp", EmpSchema(), AnnotationMode::kNone);
+  ASSERT_TRUE(base.ok());
+  std::vector<Address> addrs;
+  for (int i = 0; i < 40; ++i) {
+    auto a = (*base)->Insert(Row("emp-" + std::to_string(i), i % 20));
+    ASSERT_TRUE(a.ok());
+    addrs.push_back(*a);
+  }
+  SnapshotOptions full;
+  full.method = RefreshMethod::kFull;
+  ASSERT_TRUE(sys.CreateSnapshot("mid", "emp", "Salary < 15", full).ok());
+  ASSERT_TRUE(sys.Refresh(RefreshRequest::For("mid")).ok());
+  ExpectFaithful(&sys, "mid");
+
+  // Adds $PREVADDR$/$TIMESTAMP$ after the STRING column and SetMode(kLazy).
+  ASSERT_TRUE(sys.CreateSnapshot("low", "emp", "Salary < 10").ok());
+  ASSERT_TRUE((*base)->stored_schema().HasAnnotations());
+  auto first = sys.Refresh(RefreshRequest::For("low"));
+  ASSERT_TRUE(first.ok());
+  ExpectFaithful(&sys, "low");
+  EXPECT_EQ(first->stats.traffic.entry_messages, 20u);
+
+  ASSERT_TRUE((*base)->Update(addrs[3], Row("emp-3b", 4)).ok());
+  ASSERT_TRUE((*base)->Delete(addrs[5]).ok());
+  auto second = sys.Refresh(RefreshRequest::For("low"));
+  ASSERT_TRUE(second.ok());
+  ExpectFaithful(&sys, "low");
+  EXPECT_LE(second->stats.traffic.entry_messages, 2u);
+
+  auto third = sys.Refresh(RefreshRequest::For("low"));
+  ASSERT_TRUE(third.ok());
+  ExpectFaithful(&sys, "low");
+  EXPECT_EQ(third->stats.traffic.entry_messages, 0u);
+  EXPECT_EQ(third->stats.base_writes, 0u);
+
+  // The full refresh now reads the user prefix of annotated rows.
+  ASSERT_TRUE(sys.Refresh(RefreshRequest::For("mid")).ok());
+  ExpectFaithful(&sys, "mid");
+}
+
 TEST(SnapshotSystemTest, ProjectionNarrowsColumns) {
   SnapshotSystem sys;
   auto base = sys.CreateBaseTable("emp", EmpSchema());

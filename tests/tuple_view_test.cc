@@ -40,9 +40,11 @@ TEST(TupleViewTest, FieldsMatchDeserializedTuple) {
     ASSERT_TRUE(v.ok()) << i;
     EXPECT_TRUE(v->Equals(row.value(i))) << i;
   }
-  auto by_name = view->Get("Salary");
-  ASSERT_TRUE(by_name.ok());
-  EXPECT_EQ(by_name->as_int64(), 700);
+  auto salary = s.IndexOf("Salary");
+  ASSERT_TRUE(salary.ok());
+  auto by_index = view->Field(*salary);
+  ASSERT_TRUE(by_index.ok());
+  EXPECT_EQ(by_index->as_int64(), 700);
 }
 
 TEST(TupleViewTest, StringFieldIsViewOverStoredBytes) {
@@ -244,8 +246,10 @@ TEST(TupleViewTest, RowViewDispatchesPredicatesIdentically) {
         "Name = 'laura' AND Salary > 100", "Rate > 1.0", "NOT Active"}) {
     auto expr = ParsePredicate(text);
     ASSERT_TRUE(expr.ok()) << text;
-    auto via_tuple = EvaluatePredicate(**expr, row, s);
-    auto via_view = EvaluatePredicate(**expr, *view, s);
+    auto bound = (*expr)->Bind(s);
+    ASSERT_TRUE(bound.ok()) << text;
+    auto via_tuple = bound->Qualifies(row);
+    auto via_view = bound->Qualifies(*view);
     ASSERT_TRUE(via_tuple.ok()) << text;
     ASSERT_TRUE(via_view.ok()) << text;
     EXPECT_EQ(*via_tuple, *via_view) << text;
