@@ -12,8 +12,9 @@
 //   refresh low
 //   stats
 //   \metrics            (system-wide metrics, Prometheus text; add `json`)
-//   \cachestats         (epoch delta cache: hit/fill/eviction counters —
-//                        start with --delta-cache to enable the cache)
+//   \cachestats         (epoch delta cache: hit/fill/eviction and page
+//                        rescanned/reused counters — start with
+//                        --delta-cache to enable the cache)
 //   \trace              (phase timeline of the last refresh)
 //   \flightrec out.json (dump the flight recorder as a Chrome trace —
 //                        open in Perfetto / chrome://tracing)

@@ -27,26 +27,36 @@ BaseTable::BaseTable(TableInfo* info, AnnotationMode mode,
     SNAPDIFF_CHECK(info_->schema.HasAnnotations())
         << "annotated mode requires funny columns in schema";
   }
+  BindLayout();
+}
+
+void BaseTable::BindLayout() {
+  const Schema& stored = info_->schema;
   std::vector<Column> user_cols(
-      info_->schema.columns().begin(),
-      info_->schema.columns().begin() + info_->schema.UserColumnCount());
+      stored.columns().begin(),
+      stored.columns().begin() + stored.UserColumnCount());
   user_schema_ = Schema(std::move(user_cols));
+  annotated_ = stored.HasAnnotations();
+  if (annotated_) {
+    // Schema::WithAnnotations appends $TIMESTAMP$ right after $PREVADDR$,
+    // both fixed-width, so one slot walk reads the pair.
+    prev_index_ = stored.PrevAddrIndex();
+    SNAPDIFF_CHECK(stored.TimestampIndex() == prev_index_ + 1)
+        << "annotation columns not adjacent";
+  }
 }
 
 Status BaseTable::SetMode(AnnotationMode mode) {
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  ++mutation_tick_;  // conservative: mode changes alter scan semantics
+  info_->heap->Tick();  // conservative: mode changes alter scan semantics
   if (mode != AnnotationMode::kNone && !info_->schema.HasAnnotations()) {
     return Status::InvalidArgument(
         "annotation columns missing; call Catalog::AddAnnotationColumns "
         "first");
   }
   mode_ = mode;
-  // The schema may have grown; refresh the cached user schema.
-  std::vector<Column> user_cols(
-      info_->schema.columns().begin(),
-      info_->schema.columns().begin() + info_->schema.UserColumnCount());
-  user_schema_ = Schema(std::move(user_cols));
+  // The schema may have grown (Catalog::AddAnnotationColumns): rebind.
+  BindLayout();
   return Status::OK();
 }
 
@@ -59,9 +69,7 @@ std::vector<std::string> BaseTable::UserColumnNames() const {
 
 Tuple BaseTable::MakeStored(const Tuple& user_row, Address prev,
                             Timestamp ts) const {
-  if (mode_ == AnnotationMode::kNone && !info_->schema.HasAnnotations()) {
-    return user_row;
-  }
+  if (!annotated_) return user_row;
   std::vector<Value> values = user_row.values();
   values.push_back(Value::Addr(prev));
   values.push_back(Value::Ts(ts));
@@ -70,15 +78,13 @@ Tuple BaseTable::MakeStored(const Tuple& user_row, Address prev,
 
 BaseTable::AnnotatedRow BaseTable::SplitStored(const Tuple& stored) const {
   AnnotatedRow row;
-  const size_t user_n = info_->schema.UserColumnCount();
+  const size_t user_n = user_schema_.column_count();
   std::vector<Value> user(stored.values().begin(),
                           stored.values().begin() + user_n);
   row.user = Tuple(std::move(user));
-  if (info_->schema.HasAnnotations()) {
-    row.prev_addr =
-        stored.value(info_->schema.PrevAddrIndex()).as_address();
-    row.timestamp =
-        stored.value(info_->schema.TimestampIndex()).as_timestamp();
+  if (annotated_) {
+    row.prev_addr = stored.value(prev_index_).as_address();
+    row.timestamp = stored.value(prev_index_ + 1).as_timestamp();
   } else {
     row.prev_addr = Address::Null();
     row.timestamp = kNullTimestamp;
@@ -129,7 +135,6 @@ Result<Address> BaseTable::Insert(const Tuple& user_row) {
     return Status::InvalidArgument("row arity does not match user schema");
   }
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  ++mutation_tick_;
   // Lazy (and none): annotations are NULL — "insert operations will set the
   // PrevAddr and TimeStamp fields to NULL".
   Tuple stored = MakeStored(user_row, Address::Null(), kNullTimestamp);
@@ -190,7 +195,6 @@ Status BaseTable::Update(Address addr, const Tuple& user_row) {
     return Status::InvalidArgument("row arity does not match user schema");
   }
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  ++mutation_tick_;
   ASSIGN_OR_RETURN(Tuple old_stored, ReadRow(info_, addr));
   AnnotatedRow old_row = SplitStored(old_stored);
   std::string before_raw;
@@ -229,7 +233,6 @@ Status BaseTable::Update(Address addr, const Tuple& user_row) {
 
 Status BaseTable::Delete(Address addr) {
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  ++mutation_tick_;
   ASSIGN_OR_RETURN(Tuple old_stored, ReadRow(info_, addr));
   AnnotatedRow old_row = SplitStored(old_stored);
   std::string before_raw;
@@ -281,16 +284,8 @@ Result<BaseTable::AnnotatedRow> BaseTable::ReadAnnotated(Address addr) {
 
 BaseTable::RowSplitter BaseTable::Splitter() const {
   RowSplitter split(&info_->schema, &user_schema_);
-  const Schema& stored = info_->schema;
-  Result<size_t> prev = stored.IndexOf(Schema::kPrevAddrColumn);
-  Result<size_t> ts = stored.IndexOf(Schema::kTimestampColumn);
-  if (prev.ok() && ts.ok()) {
-    // Schema::WithAnnotations appends $TIMESTAMP$ right after $PREVADDR$,
-    // both fixed-width, so one slot walk reads the pair.
-    SNAPDIFF_CHECK(*ts == *prev + 1) << "annotation columns not adjacent";
-    split.annotated_ = true;
-    split.prev_index_ = *prev;
-  }
+  split.annotated_ = annotated_;
+  split.prev_index_ = prev_index_;
   return split;
 }
 
@@ -411,7 +406,7 @@ Status BaseTable::WriteAnnotationsIf(Address addr, Address expect_prev,
 std::shared_ptr<TableEpoch> BaseTable::OpenEpoch() {
   std::lock_guard<std::mutex> lock(mutate_mu_);
   std::shared_ptr<TableEpoch> epoch = info_->heap->OpenEpoch();
-  epoch->cut_tick = mutation_tick_.load(std::memory_order_relaxed);
+  epoch->cut_tick = info_->heap->clock();
   epoch->cut_lsn = wal_ != nullptr ? wal_->LastLsn() : kInvalidLsn;
   return epoch;
 }
@@ -436,12 +431,11 @@ std::vector<BaseTable::ScanPartition> BaseTable::PartitionEpoch(
 
 Status BaseTable::WriteAnnotationsLocked(Address addr, Address prev_addr,
                                          Timestamp ts) {
-  if (!info_->schema.HasAnnotations()) {
+  if (!annotated_) {
     return Status::InvalidArgument("table has no annotation columns");
   }
-  ++mutation_tick_;
-  const size_t prev_idx = info_->schema.PrevAddrIndex();
-  const size_t ts_idx = info_->schema.TimestampIndex();
+  const size_t prev_idx = prev_index_;
+  const size_t ts_idx = prev_index_ + 1;
   bool patchable = false;
   std::string before_raw;
   {

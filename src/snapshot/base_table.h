@@ -121,10 +121,10 @@ class BaseTable {
   Result<AnnotatedRow> ReadAnnotated(Address addr);
 
   /// Splits stored rows into a user-schema TupleView plus decoded
-  /// annotations, with the annotation slots resolved when the splitter is
-  /// made: each row is parsed once and no column name is looked up per
-  /// row. Make one per scan — SetMode and Catalog::AddAnnotationColumns
-  /// reassign the schemas it reads in place.
+  /// annotations, with the annotation slots the table bound at
+  /// construction or its last SetMode: each row is parsed once and no
+  /// column name is looked up per row. Make one per scan — SetMode
+  /// reassigns the schemas it reads in place.
   class RowSplitter {
    public:
     Result<AnnotatedView> operator()(std::string_view bytes) const;
@@ -278,13 +278,12 @@ class BaseTable {
   uint64_t live_rows() const { return info_->heap->live_tuples(); }
 
   /// Bumped by every mutation of this table — user writes (Insert, Update,
-  /// Delete) and annotation repairs alike. The delta cache stamps each
-  /// class image with the tick of the epoch cut its fill scanned and
-  /// serves from it only while the tick is unchanged, so any intervening
-  /// write invalidates cached streams without a registration mechanism.
-  uint64_t mutation_tick() const {
-    return mutation_tick_.load(std::memory_order_acquire);
-  }
+  /// Delete), annotation repairs and mode changes alike: the heap's change
+  /// clock, on which every page's directory stamp is taken
+  /// (TableHeap::page_stamp). The delta cache stamps each class image with
+  /// the tick it describes; it replays the image as is while the tick is
+  /// unchanged and otherwise rescans only the pages stamped above it.
+  uint64_t mutation_tick() const { return info_->heap->clock(); }
 
   /// Transaction-id high-water mark. Restart recovery bumps it past every
   /// id found in the recovered WAL so new autocommit brackets never collide
@@ -294,7 +293,8 @@ class BaseTable {
 
   /// Switches maintenance mode. Used when the first differential snapshot
   /// is created on a previously annotation-free table (the schema must
-  /// already have been extended via Catalog::AddAnnotationColumns).
+  /// already have been extended via Catalog::AddAnnotationColumns; this
+  /// rebinds the write path and the scans to the grown layout).
   Status SetMode(AnnotationMode mode);
 
   const AnnotationMaintenanceStats& maintenance_stats() const {
@@ -308,6 +308,11 @@ class BaseTable {
   std::vector<std::string> UserColumnNames() const;
 
  private:
+  /// Resolves the user schema and the annotation slots from the stored
+  /// schema: once at construction and again at each SetMode, so no write
+  /// or scan looks a column up by name.
+  void BindLayout();
+
   /// Builds the stored tuple = user values + (prev, ts).
   Tuple MakeStored(const Tuple& user_row, Address prev, Timestamp ts) const;
 
@@ -334,6 +339,8 @@ class BaseTable {
   TimestampOracle* oracle_;
   LogManager* wal_;
   Schema user_schema_;
+  bool annotated_ = false;  // stored schema carries $PREVADDR$/$TIMESTAMP$
+  size_t prev_index_ = 0;   // $TIMESTAMP$ follows at prev_index_ + 1
   std::vector<TableObserver*> observers_;
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
   AnnotationMaintenanceStats maintenance_stats_;
@@ -344,7 +351,6 @@ class BaseTable {
   mutable std::mutex mutate_mu_;
   TxnId next_txn_ = 1;
   TxnId active_txn_ = 0;  // open autocommit bracket (0 = none)
-  std::atomic<uint64_t> mutation_tick_{0};
 };
 
 /// Verifies the repaired-annotation invariant: every live row's $PREVADDR$

@@ -38,68 +38,72 @@ struct DeltaCacheKey {
 };
 
 /// The epoch delta cache: the memory that lets one base scan serve N
-/// subscribers.
+/// subscribers, and lets each later scan read only the pages that changed.
 ///
-/// Each refresh scan is an *epoch* bounded by its FixupTime. The scan
-/// repairs every annotation (Figure 7), so immediately afterwards each live
-/// row carries an exact post-fixup (PrevAddr, TimeStamp) — and the
-/// differential stream a fresh rescan would transmit to a subscriber at
-/// SnapTime T is a pure function of the live rows' (address, timestamp,
-/// qualified, projected payload) sequence. The cache therefore keeps, per
-/// snapshot class, that sequence as a *class image*: a flat array of rows
-/// sorted by address plus one payload arena, folding every cached epoch
-/// last-writer-wins (a later epoch's observation of a row replaces the
-/// earlier one's; rows deleted in a later epoch drop out of the array and
-/// survive only as the successor's repaired timestamp, exactly as on the
-/// base table itself).
+/// Each refresh is an *epoch* bounded by its FixupTime. The refresh repairs
+/// every annotation (Figure 7), so immediately afterwards each live row
+/// carries an exact post-fixup (PrevAddr, TimeStamp) — and the differential
+/// stream a fresh rescan would transmit to a subscriber at SnapTime T is a
+/// pure function of the live rows' (address, timestamp, qualified,
+/// projected payload) sequence. The cache therefore keeps, per snapshot
+/// class, that sequence as a *class image*: a flat array of rows sorted by
+/// address plus one payload arena, stamped with the base table's
+/// mutation tick it describes (`valid_tick`).
 ///
 /// Serving SnapTime T replays the paper's Figure 3 transmit rule over the
 /// image — qualified rows send iff TimeStamp > T or a deletion gap is open;
 /// unqualified rows with TimeStamp > T raise the Deletion flag — which is
-/// byte-for-byte the stream the rescan would emit, for *any* T, without
-/// touching a single base page. A serve is one linear walk of the array;
-/// it copies a payload out of the arena only for the rows it sends.
+/// byte-for-byte the stream the rescan would emit, for *any* T. A serve is
+/// one linear walk of the array; it copies a payload out of the arena only
+/// for the rows it sends.
 ///
-/// Validity: an image is serveable only while the base table is unchanged
-/// since the epoch that filled it (BaseTable::mutation_tick compare). Any
-/// base mutation invalidates; the next refresh falls back to the scan and
-/// re-fills as a side effect. A fill appends one row per live base row, in
-/// the scan's address order, to a new array and arena: rows that changed
-/// since the previous image bring a freshly serialized payload, unchanged
-/// rows have their payload bytes copied over from the previous image, found
-/// by a forward cursor that walks it in step with the scan (a merge of the
-/// two address-ordered sequences, no search). The previous image is only
-/// read, so an abandoned fill leaves it intact for the next one. A fill
-/// that observes an address not strictly above its predecessor, or an
-/// unchanged qualified row the previous image does not hold, is discarded
-/// at CommitFill.
+/// Every refresh with the cache on runs through a Splice per snapshot
+/// class (BeginSplice). A class whose image still holds the table's
+/// current tick is *current*: the refresh replays it as is, touching no
+/// base page (a hit). Otherwise the image is stale and the refresh splices
+/// it up to its epoch cut (a miss and a fill): it reads the heap's page
+/// directory (TableHeap::page_stamp), copies the rows, verdicts and
+/// payloads of every page stamped at or below the image's tick from the old
+/// image, rescans the pages stamped above it, and re-derives the Figure 7
+/// chain over the merged sequence — a clean row's stored PrevAddr is its
+/// predecessor in the old image and its stored TimeStamp its image stamp,
+/// so the first clean row after a changed run gets its deletion or chain
+/// repair without a page read. A class with no usable image is the case
+/// where every page is dirty. The replay of a spliced image then emits
+/// what the scan would have, and the splice is installed only if no writer
+/// interleaved the refresh (CommitSplice); the old image is only read, so
+/// an abandoned splice leaves it intact. A splice that copies rows the old
+/// image does not hold, or whose addresses do not strictly increase, is
+/// discarded at CommitSplice.
 ///
 /// Memory is bounded by a byte budget with LRU class eviction; evicted
-/// classes fall back to rescan, metered ("snapshot.delta_cache.*" counters,
-/// flight-recorder spans around serve and fill).
+/// classes are rebuilt from a full scan, metered ("snapshot.delta_cache.*"
+/// counters, flight-recorder spans around serve and splice commit).
 ///
 /// Thread safety: public methods are serialized by an internal mutex, so
 /// refreshes of *different* tables (each under its own per-table admission
-/// token) may share one cache. A fill borrows the previous image across the
-/// whole scan; the class is pinned against eviction until the filler
-/// commits or dies. Refreshes of the *same* table remain externally
-/// serialized (SnapshotSystem's per-table admission), so a borrowed image
-/// is never replaced mid-fill.
+/// token) may share one cache. A Splice pins its class against eviction
+/// until it commits or dies, so its old image may be read without the
+/// mutex. Refreshes of the *same* table remain externally serialized
+/// (SnapshotSystem's per-table admission), so a pinned image is never
+/// replaced mid-refresh.
 class DeltaCache {
  public:
   /// `byte_budget` caps the summed image bytes (0 = unbounded).
   explicit DeltaCache(size_t byte_budget = 0);
 
   struct StatsSnapshot {
-    uint64_t hits = 0;           // refreshes served without a scan
-    uint64_t misses = 0;         // refreshes that fell through to the scan
-    uint64_t fills = 0;          // committed class-image fills
-    uint64_t evictions = 0;      // classes dropped by the LRU budget
-    uint64_t aborted_fills = 0;  // fills discarded as inconsistent
-    uint64_t classes = 0;        // currently cached classes
-    uint64_t epochs = 0;         // ledgered epochs across classes
-    uint64_t bytes = 0;          // accounted image bytes
-    uint64_t byte_budget = 0;    // 0 = unbounded
+    uint64_t hits = 0;             // refreshes replayed without a page read
+    uint64_t misses = 0;           // refreshes whose image had to be spliced
+    uint64_t fills = 0;            // committed splices
+    uint64_t evictions = 0;        // classes dropped by the LRU budget
+    uint64_t aborted_fills = 0;    // splices discarded as inconsistent
+    uint64_t pages_rescanned = 0;  // pages splices read from the base
+    uint64_t pages_reused = 0;     // pages splices copied from old images
+    uint64_t classes = 0;          // currently cached classes
+    uint64_t epochs = 0;           // ledgered epochs across classes
+    uint64_t bytes = 0;            // accounted image bytes
+    uint64_t byte_budget = 0;      // 0 = unbounded
   };
 
  private:
@@ -110,6 +114,11 @@ class DeltaCache {
   struct Row {
     Address addr;
     Timestamp ts = kNullTimestamp;
+    /// The stamp the anchor optimization compares against SnapTime: the
+    /// row's stored TimeStamp before this epoch's repairs when its
+    /// annotations were intact, else `ts`. Equal to `ts` in every
+    /// installed image (the repairs have landed by then).
+    Timestamp anchor_ts = kNullTimestamp;
     size_t off = 0;
     uint32_t len = 0;
     bool qualified = false;
@@ -133,93 +142,122 @@ class DeltaCache {
                         const SnapshotDescriptor& b);
 
   /// True when `desc`'s class image exists and the base table is unchanged
-  /// since the epoch that filled it — Serve would be exact.
+  /// since the tick it describes — a replay would be exact.
   bool CanServe(const BaseTable& base, const SnapshotDescriptor& desc) const;
 
+  /// One snapshot class as one refresh replays it: either its current
+  /// image, or a new image spliced up to the refresh's cut from the old
+  /// one's clean pages and the base's dirty ones. Made by BeginSplice;
+  /// pins the class against eviction until CommitSplice or destruction.
+  class Splice {
+   public:
+    ~Splice();
+
+    /// The image holds the table's current tick: nothing to splice.
+    bool current() const { return current_; }
+    /// An old image can supply clean pages. False for a new class, an
+    /// evicted one, or an image of another heap or of a later cut.
+    bool has_prior() const { return prior_ != nullptr; }
+    /// The tick the old image describes: pages stamped above it changed
+    /// since. 0 without an old image (every page is stamped above 0).
+    uint64_t prior_tick() const { return prior_tick_; }
+
+    /// The old image's rows on one run of clean pages, and what the Figure
+    /// 7 chain needs of them: the first row's stored annotations (its
+    /// predecessor in the old image, its image stamp) and the last row's
+    /// address. Rows past the first are chain-consistent with their
+    /// predecessors, so they need no fix-up.
+    struct PriorRun {
+      size_t begin = 0;  // index range in the old image
+      size_t end = 0;
+      Address first;
+      Address first_prev;
+      Timestamp first_ts = kNullTimestamp;
+      Address last;
+      bool empty() const { return begin == end; }
+    };
+    /// The old image's rows on pages [first_page, last_page].
+    PriorRun FindPrior(PageId first_page, PageId last_page) const;
+
+    /// Appends `run`'s rows with their verdicts and payloads. Its first row
+    /// must be `first` and takes the chain's verdict (ts, anchor_ts); the
+    /// rest keep their image stamps.
+    void CopyPrior(const PriorRun& run, Address first, Timestamp ts,
+                   Timestamp anchor_ts);
+    /// Appends one rescanned row: its post-fixup timestamp, its anchor
+    /// stamp, the class predicate's verdict and its projected payload
+    /// (required iff qualified; copied).
+    void Append(Address addr, Timestamp ts, Timestamp anchor_ts,
+                bool qualified, std::string_view payload);
+
+   private:
+    friend class DeltaCache;
+    Splice() = default;
+
+    /// Whether `addr` may follow the rows appended so far.
+    bool Ascends(Address addr);
+    /// The image to replay: the current one or the spliced one.
+    const Image& image() const { return current_ ? *prior_ : next_; }
+
+    DeltaCacheKey key_;
+    uint64_t heap_id_ = 0;
+    DeltaCache* cache_ = nullptr;
+    bool pinned_ = false;                  // class pinned against eviction
+    bool current_ = false;
+    const Image* prior_ = nullptr;         // old image, borrowed; may be 0
+    uint64_t prior_tick_ = 0;
+    Timestamp lower_ = kNullTimestamp;     // old image's epoch upper bound
+    Timestamp upper_ = kNullTimestamp;     // this refresh's FixupTime
+    Image next_;                           // spliced image
+    std::vector<size_t> reanchored_;       // rows with anchor_ts != ts
+    size_t bytes_ = 0;
+    uint64_t rescanned_rows_ = 0;
+    uint64_t reused_rows_ = 0;
+    bool failed_ = false;
+  };
+
+  /// Starts `desc`'s class for one refresh at FixupTime `fixup_time` over a
+  /// cut at mutation tick `cut_tick`. The old image (if any, of this heap,
+  /// and not newer than the cut) is pinned and borrowed.
+  std::unique_ptr<Splice> BeginSplice(const BaseTable& base,
+                                      const SnapshotDescriptor& desc,
+                                      uint64_t cut_tick, Timestamp fixup_time);
+
   /// One member of a group serve: its descriptor, SnapTime, output sink,
-  /// meters, and where to deposit the final LastQual for the caller's
-  /// END_OF_REFRESH message.
+  /// meters, the image it replays, and where to deposit the final LastQual
+  /// for the caller's END_OF_REFRESH message.
   struct ServeTarget {
     const SnapshotDescriptor* desc = nullptr;
     Timestamp snap_time = kNullTimestamp;
     MessageSink* sink = nullptr;
     RefreshStats* stats = nullptr;
     Address* last_qual = nullptr;
+    const Splice* image = nullptr;
   };
 
-  /// Replays the differential streams of a whole group from the class
-  /// images, interleaved exactly like the combined scan: address-major,
+  /// Replays the differential streams of a whole group from their images,
+  /// interleaved exactly like the combined scan: address-major,
   /// member-minor (a scan visits each live row once and emits for every
   /// member that needs it, in member order) — so even members sharing one
   /// sink see the byte-identical wire, batching included. Sends ENTRY
   /// messages only; the caller flushes and closes each member with
-  /// END_OF_REFRESH, mirroring the scan path. Counts one hit per target
-  /// and marks `stats->served_from_cache`. Fails unless CanServe holds for
-  /// every target.
-  Status ServeGroup(const BaseTable& base, const RefreshExecution& exec,
+  /// END_OF_REFRESH, mirroring the scan path. When every image is current
+  /// this is a hit: it counts one per target and marks
+  /// `stats->served_from_cache`; otherwise it counts a miss per target
+  /// whose image was spliced. An inconsistent splice is not replayed: its
+  /// class is dropped (the next refresh rebuilds it from every page) and
+  /// the serve fails.
+  Status ServeGroup(const RefreshExecution& exec,
                     std::vector<ServeTarget>* targets);
 
-  /// Meters one refresh that had to scan (image missing, stale or evicted).
-  void CountMiss();
+  /// Meters one splice walk: pages read from the base, pages copied.
+  void CountPages(uint64_t rescanned, uint64_t reused);
 
-  /// Accumulates one scan's observations for one class. Created by
-  /// BeginFill, fed one Observe per live row in address order, committed by
-  /// CommitFill (which discards inconsistent fills instead of installing
-  /// them).
-  class Filler {
-   public:
-    /// Unpins the class if the fill was abandoned without CommitFill (an
-    /// error path, or an epoch fill judged inexact and dropped).
-    ~Filler();
-
-    /// Rows whose post-fixup timestamp is <= this (and whose stored
-    /// annotations were intact, so no repair fired) are value-unchanged
-    /// since the previous image and may be observed with `unchanged=true`,
-    /// skipping payload serialization. kNullTimestamp for a first fill:
-    /// nothing can be reused.
-    Timestamp reuse_floor() const { return floor_; }
-
-    /// One live row, in strictly increasing address order: its post-fixup
-    /// timestamp, the class predicate's verdict, and — unless `unchanged` —
-    /// its projected payload (required iff qualified; copied, so the caller
-    /// may reuse the buffer). `unchanged=true` reuses the payload stored by
-    /// the previous image.
-    void Observe(Address addr, Timestamp ts, bool qualified, bool unchanged,
-                 std::string_view payload);
-
-   private:
-    friend class DeltaCache;
-    Filler() = default;
-
-    /// The previous image's row at `addr`, or null. Advances the merge
-    /// cursor, so successive calls must ask for increasing addresses.
-    const Row* SeekPrior(Address addr);
-
-    DeltaCacheKey key_;
-    DeltaCache* cache_ = nullptr;       // for the abandon-unpin path
-    bool pinned_ = false;               // prior class pinned against eviction
-    Timestamp floor_ = kNullTimestamp;  // previous image's epoch upper bound
-    Timestamp upper_ = kNullTimestamp;  // this scan's FixupTime
-    const Image* prior_ = nullptr;      // previous image, borrowed; may be 0
-    size_t cursor_ = 0;                 // merge-walk position in prior_->rows
-    Image image_;                       // image under construction
-    size_t bytes_ = 0;
-    uint64_t changed_ = 0;
-    uint64_t reused_ = 0;
-    bool failed_ = false;
-  };
-
-  /// Starts a fill of `desc`'s class for the epoch ending at `fixup_time`.
-  /// The previous image (if any) stays serve-invalid but is retained for
-  /// payload reuse until CommitFill replaces it.
-  std::unique_ptr<Filler> BeginFill(const BaseTable& base,
-                                    const SnapshotDescriptor& desc,
-                                    Timestamp fixup_time);
-
-  /// Installs the filled image. `base_tick` is the table's mutation tick
-  /// *after* the scan's fix-up repairs were applied — the validity stamp
-  /// CanServe compares against. Runs LRU eviction if over budget.
-  void CommitFill(std::unique_ptr<Filler> filler, uint64_t base_tick);
+  /// Installs a spliced image as describing mutation tick `base_tick` —
+  /// the table's tick *after* the refresh's fix-up repairs. A current
+  /// splice installs nothing; an inconsistent one drops its class. Runs
+  /// LRU eviction if over budget.
+  void CommitSplice(std::unique_ptr<Splice> splice, uint64_t base_tick);
 
   StatsSnapshot Stats() const;
   /// Per-class lines (restriction, bytes, epoch intervals) for \cachestats.
@@ -233,17 +271,19 @@ class DeltaCache {
   struct Epoch {
     Timestamp lower = kNullTimestamp;  // previous epoch's FixupTime
     Timestamp upper = kNullTimestamp;  // this epoch's FixupTime
-    uint64_t rows_changed = 0;
-    uint64_t rows_reused = 0;
+    uint64_t rows_changed = 0;         // rows rescanned from the base
+    uint64_t rows_reused = 0;          // rows copied from the old image
   };
 
   struct ClassEntry {
     Image image;
+    Image spare;  // the image before, recycled as the next splice's buffers
     std::deque<Epoch> epochs;  // newest at the back, ledger only
+    uint64_t heap_id = 0;      // the heap whose clock valid_tick reads
     uint64_t valid_tick = 0;
     size_t bytes = 0;
     uint64_t last_used = 0;
-    uint64_t fill_pins = 0;  // open fills borrowing this image; not evictable
+    uint64_t pins = 0;  // live splices borrowing this image; not evictable
   };
 
   // Accounting constants: a fixed charge per row (the Row entry plus vector
@@ -256,8 +296,10 @@ class DeltaCache {
   void EvictOverBudget();
   void RemoveClass(std::map<DeltaCacheKey, ClassEntry>::iterator it);
   void UpdateGauges();
-  /// Releases an abandoned filler's eviction pin (~Filler).
+  /// Releases a dead splice's eviction pin (~Splice).
   void Unpin(const DeltaCacheKey& key);
+  /// Counts an inconsistent splice and drops its class; requires mu_.
+  void AbortLocked(const DeltaCacheKey& key);
   StatsSnapshot StatsLocked() const;
 
   mutable std::mutex mu_;
@@ -274,6 +316,8 @@ class DeltaCache {
   obs::Counter* metric_fills_;
   obs::Counter* metric_evictions_;
   obs::Counter* metric_aborted_fills_;
+  obs::Counter* metric_pages_rescanned_;
+  obs::Counter* metric_pages_reused_;
   obs::Gauge* metric_bytes_;
   obs::Gauge* metric_classes_;
 };

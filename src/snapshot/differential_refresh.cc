@@ -183,26 +183,6 @@ Status ProcessRow(const FixupResult& fix, std::vector<MemberState>* states,
   return Status::OK();
 }
 
-/// A delta-cache fill riding this scan: the filler accumulating one class
-/// image plus the index of the member representing the class (its
-/// restriction/projection are the class's).
-struct FillTarget {
-  std::unique_ptr<DeltaCache::Filler> filler;
-  size_t rep;
-};
-
-/// A row is reusable from the previous image iff its stored annotations
-/// were intact (no repair fired, so fix.ts == stored_ts) and its stamp is
-/// not newer than the previous image's epoch bound — then its value, and
-/// therefore its payload and predicate verdict, cannot have changed since
-/// that image recorded it.
-bool FillRowUnchanged(const FixupResult& fix, Address stored_prev,
-                      Timestamp stored_ts, Timestamp reuse_floor) {
-  const bool annotations_intact =
-      !stored_prev.IsNull() && stored_ts != kNullTimestamp;
-  return annotations_intact && fix.ts == stored_ts && fix.ts <= reuse_floor;
-}
-
 /// --- Parallel extraction -------------------------------------------------
 ///
 /// Workers cannot run ProcessRow: the Figure 7 chain (ExpectPrev/LastAddr)
@@ -242,9 +222,8 @@ struct ExtractedRow {
   Address addr;
   Address stored_prev = Address::Origin();
   Timestamp stored_ts = kNullTimestamp;
-  uint64_t qualified = 0;     // bit i: member i's restriction admits the row
-  uint64_t has_payload = 0;   // bit i: payloads[i] was pre-serialized
-  uint64_t fill_payload = 0;  // bit i: payloads[i] serialized for a fill
+  uint64_t qualified = 0;    // bit i: member i's restriction admits the row
+  uint64_t has_payload = 0;  // bit i: payloads[i] was pre-serialized
   std::vector<std::string> payloads;  // indexed by member; sized lazily
   /// Epoch path: stored image of NULL-timestamp rows (the only rows whose
   /// repair needs the byte-identity guard — see PendingWrite). Rows with
@@ -252,20 +231,11 @@ struct ExtractedRow {
   std::string raw;
 };
 
-/// A cache fill as the workers see it: which member represents the class
-/// and the reuse floor deciding which rows need their payload serialized
-/// even when the transmit verdict alone would not.
-struct FillSpec {
-  size_t rep;
-  Timestamp floor;
-};
-
 /// Scans one partition and extracts its rows. Runs on a pool worker; reads
 /// only shared-immutable state (`states` is const here — transmit state is
 /// owned by the merge pass) and writes only `*out` and its own counter.
 Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
                         const std::vector<MemberState>& states,
-                        const std::vector<FillSpec>& fill_specs,
                         const BaseTable::ScanPartition& part,
                         obs::Counter* rows_counter,
                         std::vector<ExtractedRow>* out) {
@@ -342,23 +312,6 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
           }
         }
 
-        // Delta-cache fills: a qualified row's payload is also needed when
-        // the row changed since the class's previous image. `ts_is_stored`
-        // certainty mirrors the merge's reuse test exactly when known; the
-        // Unknown partition head serializes conservatively, so the merge
-        // never misses a fill payload either.
-        for (const FillSpec& fs : fill_specs) {
-          if (((er.qualified >> fs.rep) & 1) == 0) continue;
-          if (ts_is_stored && row.timestamp <= fs.floor) continue;
-          const uint64_t bit = uint64_t{1} << fs.rep;
-          if ((er.has_payload & bit) != 0 || (er.fill_payload & bit) != 0) {
-            continue;
-          }
-          if (er.payloads.empty()) er.payloads.resize(states.size());
-          RETURN_IF_ERROR(row.user.AppendProjectionTo(
-              states[fs.rep].projection_indices, &er.payloads[fs.rep]));
-          er.fill_payload |= bit;
-        }
         rows_counter->Inc();
         out->push_back(std::move(er));
         return Status::OK();
@@ -369,26 +322,178 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
   return base->ScanAnnotatedRange(part, visit);
 }
 
-/// Feeds one fixed-up row into every pending cache fill. `qualified_of(k)`
-/// is fill k's class verdict for the row; `payload_of(rep)` yields the
-/// serialized projection for the class representative (called only when
-/// the row changed and qualifies; the view need only live until Observe
-/// copies it).
-template <typename QualifiedOf, typename PayloadOf>
-Status ObserveFills(std::vector<FillTarget>* fills, const FixupResult& fix,
-                    Address addr, Address stored_prev, Timestamp stored_ts,
-                    QualifiedOf&& qualified_of, PayloadOf&& payload_of) {
-  for (size_t k = 0; k < fills->size(); ++k) {
-    FillTarget& f = (*fills)[k];
-    const bool qualified = qualified_of(k);
-    const bool unchanged =
-        FillRowUnchanged(fix, stored_prev, stored_ts, f.filler->reuse_floor());
-    std::string_view payload;
-    if (!unchanged && qualified) {
-      ASSIGN_OR_RETURN(payload, payload_of(f.rep));
-    }
-    f.filler->Observe(addr, fix.ts, qualified, unchanged, payload);
+/// --- Delta-cache path ----------------------------------------------------
+
+/// One stale class: its splice and the member whose bound restriction and
+/// projection stand for the class.
+struct StaleClass {
+  DeltaCache::Splice* splice;
+  size_t rep;
+};
+
+/// The stamp the anchor optimization compares against SnapTime: the
+/// stored one when the row's annotations were intact (the scan's "value
+/// unchanged" test reads it), else the fixed-up one.
+Timestamp AnchorStamp(const FixupResult& fix, Address stored_prev,
+                      Timestamp stored_ts) {
+  const bool annotations_intact =
+      !stored_prev.IsNull() && stored_ts != kNullTimestamp;
+  return annotations_intact ? stored_ts : fix.ts;
+}
+
+/// Walks the cut's pages in address order, rescanning runs of dirty pages
+/// and copying runs of clean ones from the old images, appending to every
+/// stale class's splice and collecting the Figure 7 repairs into
+/// `*repairs`: the merged sequence and its chain are a full rescan's, so
+/// the repairs and the spliced images are too. Counts the pages of each
+/// kind into `*rescanned`/`*reused`.
+Status SpliceToCut(BaseTable* base, const TableEpoch* epoch,
+                   std::vector<MemberState>* states,
+                   const std::vector<StaleClass>& stale, FixupState* fx,
+                   std::vector<PendingWrite>* repairs, uint64_t* rescanned,
+                   uint64_t* reused) {
+  const TableHeap& heap = *base->info()->heap;
+  const std::vector<PageId>& pages =
+      epoch != nullptr ? epoch->pages() : heap.pages();
+  // A page is clean for every stale class when it is stamped at or below
+  // the oldest old image's tick (0 without an old image: every page is
+  // stamped above it).
+  uint64_t clean_through = UINT64_MAX;
+  for (const StaleClass& c : stale) {
+    clean_through = std::min(clean_through, c.splice->prior_tick());
   }
+  auto dirty = [&](size_t i) { return heap.page_stamp(i) > clean_through; };
+  auto fixup = [&](Address addr, Address stored_prev, Timestamp stored_ts,
+                   std::string_view raw) {
+    const FixupResult fix = FixupRow(fx, addr, stored_prev, stored_ts);
+    if (fix.write_needed) {
+      repairs->push_back({addr, fix.prev, fix.ts, stored_prev, stored_ts,
+                          epoch != nullptr && RepairNeedsImage(stored_ts)
+                              ? std::string(raw)
+                              : std::string()});
+    }
+    for (MemberState& st : *states) {
+      RefreshStats* stats = st.member.stats;
+      if (fix.inserted) ++stats->fixups_inserted;
+      if (fix.updated) ++stats->fixups_updated;
+      if (fix.deleted) ++stats->fixups_deleted;
+    }
+    return fix;
+  };
+
+  std::string payload;  // reused serialization buffer
+  auto visit = [&](Address addr, const BaseTable::AnnotatedView& row)
+      -> Status {
+    const FixupResult fix =
+        fixup(addr, row.prev_addr, row.timestamp, row.raw);
+    for (MemberState& st : *states) ++st.member.stats->entries_scanned;
+    const Timestamp anchor = AnchorStamp(fix, row.prev_addr, row.timestamp);
+    for (const StaleClass& c : stale) {
+      const MemberState& rep = (*states)[c.rep];
+      ASSIGN_OR_RETURN(const bool qualified,
+                       rep.restriction.Qualifies(row.user));
+      payload.clear();
+      if (qualified) {
+        RETURN_IF_ERROR(
+            row.user.AppendProjectionTo(rep.projection_indices, &payload));
+      }
+      c.splice->Append(addr, fix.ts, anchor, qualified, payload);
+    }
+    return Status::OK();
+  };
+
+  for (size_t i = 0; i < pages.size();) {
+    const bool run_dirty = dirty(i);
+    size_t end = i + 1;
+    while (end < pages.size() && dirty(end) == run_dirty) ++end;
+    if (run_dirty) {
+      *rescanned += end - i;
+      const BaseTable::ScanPartition part{i, end - i};
+      RETURN_IF_ERROR(epoch != nullptr
+                          ? base->ScanAnnotatedRangeAtEpoch(*epoch, part, visit)
+                          : base->ScanAnnotatedRange(part, visit));
+    } else {
+      *reused += end - i;
+      // Unchanged since every old image: a clean row's stored PrevAddr is
+      // its predecessor there and its stored TimeStamp its image stamp. Only
+      // the run's first row can meet a changed neighbourhood (a deletion
+      // before it, or inserts); every later row's predecessor is unchanged,
+      // so Figure 7 repairs nothing for it and the chain just moves on.
+      const DeltaCache::Splice::PriorRun lead =
+          stale.front().splice->FindPrior(pages[i], pages[end - 1]);
+      if (!lead.empty()) {
+        const FixupResult fix =
+            fixup(lead.first, lead.first_prev, lead.first_ts, {});
+        for (const StaleClass& c : stale) {
+          c.splice->CopyPrior(c.splice->FindPrior(pages[i], pages[end - 1]),
+                              lead.first, fix.ts, lead.first_ts);
+        }
+        fx->expect_prev = lead.last;
+        fx->last_addr = lead.last;
+      }
+    }
+    i = end;
+  }
+  return Status::OK();
+}
+
+/// The delta-cache path of ExecuteGroupDifferentialRefresh: one splice per
+/// distinct class (kept in `*splices` for the caller to commit after the
+/// fix-ups), the stale ones brought up to the cut, then every member
+/// replayed from its class's image into its sender.
+Status RefreshThroughCache(BaseTable* base, const TableEpoch* epoch,
+                           DeltaCache* cache, std::vector<MemberState>* states,
+                           const std::vector<BatchingSender*>& senders,
+                           const RefreshExecution& exec, obs::Tracer* tracer,
+                           FixupState* fx, std::vector<PendingWrite>* repairs,
+                           std::vector<std::unique_ptr<DeltaCache::Splice>>*
+                               splices) {
+  const uint64_t cut_tick =
+      epoch != nullptr ? epoch->cut_tick : base->mutation_tick();
+  std::vector<size_t> splice_of(states->size());
+  std::vector<StaleClass> stale;
+  for (size_t i = 0; i < states->size(); ++i) {
+    const SnapshotDescriptor& desc = *(*states)[i].member.desc;
+    size_t same = 0;
+    while (same < i &&
+           !DeltaCache::SameClass(*(*states)[same].member.desc, desc)) {
+      ++same;
+    }
+    if (same < i) {
+      splice_of[i] = splice_of[same];
+      continue;
+    }
+    splice_of[i] = splices->size();
+    splices->push_back(
+        cache->BeginSplice(*base, desc, cut_tick, fx->fixup_time));
+    if (!splices->back()->current()) {
+      stale.push_back(StaleClass{splices->back().get(), i});
+    }
+  }
+
+  if (!stale.empty()) {
+    obs::Tracer::Span splice_span(tracer, "splice");
+    uint64_t rescanned = 0;
+    uint64_t reused = 0;
+    RETURN_IF_ERROR(SpliceToCut(base, epoch, states, stale, fx, repairs,
+                                &rescanned, &reused));
+    cache->CountPages(rescanned, reused);
+    splice_span.Note("pages_rescanned", rescanned);
+    splice_span.Note("pages_reused", reused);
+    splice_span.Note("repairs", repairs->size());
+  }
+
+  obs::Tracer::Span serve_span(tracer, "cache-serve");
+  std::vector<DeltaCache::ServeTarget> targets;
+  targets.reserve(states->size());
+  for (size_t i = 0; i < states->size(); ++i) {
+    MemberState& st = (*states)[i];
+    targets.push_back(DeltaCache::ServeTarget{
+        st.member.desc, st.member.snap_time, senders[i], st.member.stats,
+        &st.last_qual, (*splices)[splice_of[i]].get()});
+  }
+  RETURN_IF_ERROR(cache->ServeGroup(exec, &targets));
+  serve_span.Note("members", states->size());
   return Status::OK();
 }
 
@@ -441,96 +546,31 @@ Status ExecuteGroupDifferentialRefresh(
     }
   }
 
-  DeltaCache* cache = exec.delta_cache;
-  if (cache != nullptr) {
-    bool all_current = true;
-    for (const MemberState& st : states) {
-      if (!cache->CanServe(*base, *st.member.desc)) {
-        all_current = false;
-        break;
-      }
-    }
-    if (all_current) {
-      // --- Cache-served path: every member's class image is current, so
-      // the whole group replays from memory. No base pages are touched; a
-      // single oracle draw closes the epoch exactly as a scan's FixupTime
-      // would, so cached and scanning systems stay in timestamp lockstep.
-      const Timestamp end_time = base->oracle()->Next();
-      obs::Tracer::Span serve_span(tracer, "cache-serve");
-      std::vector<DeltaCache::ServeTarget> targets;
-      targets.reserve(states.size());
-      for (size_t i = 0; i < states.size(); ++i) {
-        targets.push_back(DeltaCache::ServeTarget{
-            states[i].member.desc, states[i].member.snap_time, senders[i],
-            states[i].member.stats, &states[i].last_qual});
-      }
-      RETURN_IF_ERROR(cache->ServeGroup(*base, exec, &targets));
-      // Flush-then-END mirrors the scan path exactly: one flush boundary
-      // after the whole group's entries, then each member's closing marker.
-      RETURN_IF_ERROR(shared_sender.Flush());
-      for (const auto& owned : owned_senders) RETURN_IF_ERROR(owned->Flush());
-      for (size_t i = 0; i < states.size(); ++i) {
-        MemberState& state = states[i];
-        RETURN_IF_ERROR(senders[i]->Send(MakeEndOfRefresh(
-            state.member.desc->id, state.last_qual, end_time)));
-        SNAPDIFF_LOG(Debug)
-            << "differential refresh served from delta cache"
-            << obs::kv("snapshot", state.member.desc->name)
-            << obs::kv("snap_time", state.member.snap_time);
-      }
-      serve_span.Note("members", states.size());
-      serve_span.Close();
-      return Status::OK();
-    }
-  }
-
   // Only refresh events need distinct times, so a single FixupTime stamps
   // every repair in this pass and becomes the new SnapTime of every member.
   const Timestamp fixup_time = base->oracle()->Next();
-
-  // Cache fills ride the scan: one per distinct class whose image is
-  // missing or stale. A class that is still current (but dragged into the
-  // scan by a stale co-member) is left untouched — the scan will repair
-  // nothing, so its image stays valid.
-  std::vector<FillTarget> fills;
-  if (cache != nullptr) {
-    for (size_t i = 0; i < states.size(); ++i) {
-      const SnapshotDescriptor& desc = *states[i].member.desc;
-      if (cache->CanServe(*base, desc)) continue;
-      cache->CountMiss();
-      bool duplicate = false;
-      for (const FillTarget& f : fills) {
-        if (DeltaCache::SameClass(*states[f.rep].member.desc, desc)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        fills.push_back(
-            FillTarget{cache->BeginFill(*base, desc, fixup_time), i});
-      }
-    }
-  }
-  std::vector<FillSpec> fill_specs;
-  fill_specs.reserve(fills.size());
-  for (const FillTarget& f : fills) {
-    fill_specs.push_back(FillSpec{f.rep, f.filler->reuse_floor()});
-  }
-
   FixupState fx{fixup_time, Address::Origin(), Address::Origin()};
   std::vector<PendingWrite> repairs;
 
   const TableEpoch* epoch = exec.epoch.get();
+  DeltaCache* cache = exec.delta_cache;
+  std::vector<std::unique_ptr<DeltaCache::Splice>> splices;
   const size_t max_parallel =
       std::min<size_t>(exec.max_parallel_members, kMemberBitmapWidth);
   std::vector<BaseTable::ScanPartition> partitions;
-  if (exec.workers > 1 && states.size() <= max_parallel) {
+  if (cache == nullptr && exec.workers > 1 && states.size() <= max_parallel) {
     partitions = epoch != nullptr
                      ? base->PartitionEpoch(*epoch, exec.workers)
                      : base->Partition(exec.workers);
   }
 
-  if (partitions.size() > 1) {
+  if (cache != nullptr) {
+    // --- Delta-cache path: splice the stale class images up to the cut,
+    // then replay every member from its image.
+    RETURN_IF_ERROR(RefreshThroughCache(base, epoch, cache, &states, senders,
+                                        exec, tracer, &fx, &repairs,
+                                        &splices));
+  } else if (partitions.size() > 1) {
     // --- Parallel path: partition extraction, then sequential merge. ---
     obs::Tracer::Span extract_span(tracer, "partition-extract");
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -548,14 +588,14 @@ Status ExecuteGroupDifferentialRefresh(
       // the worker's own track.
       const uint64_t submitted_ticks = SNAPDIFF_FR_NOW();
       pending.push_back(exec.pool->Submit(
-          [base, epoch, &states, &fill_specs, part = partitions[p],
-           rows_counter, run = &runs[p], submitted_ticks]() -> Status {
+          [base, epoch, &states, part = partitions[p], rows_counter,
+           run = &runs[p], submitted_ticks]() -> Status {
             SNAPDIFF_FR_INSTANT("thread_pool.task.queue_ticks",
                                 SNAPDIFF_FR_NOW() - submitted_ticks);
             SNAPDIFF_FR_SCOPED_SPAN(fr_span, "refresh.extract_partition");
             (void)submitted_ticks;
-            return ExtractPartition(base, epoch, states, fill_specs, part,
-                                    rows_counter, run);
+            return ExtractPartition(base, epoch, states, part, rows_counter,
+                                    run);
           }));
     }
     // Join every partition before surfacing the first failure: the worker
@@ -582,19 +622,6 @@ Status ExecuteGroupDifferentialRefresh(
           repairs.push_back({er.addr, fix.prev, fix.ts, er.stored_prev,
                              er.stored_ts, std::move(er.raw)});
         }
-        // Fills first: ProcessRow may move the payload the fill copies.
-        RETURN_IF_ERROR(ObserveFills(
-            &fills, fix, er.addr, er.stored_prev, er.stored_ts,
-            [&](size_t k) { return ((er.qualified >> fills[k].rep) & 1) != 0; },
-            [&er](size_t rep) -> Result<std::string_view> {
-              if (((er.has_payload | er.fill_payload) >> rep & 1) == 0) {
-                // Unreachable: the worker's reuse test only skips rows the
-                // merge also classifies unchanged.
-                return Status::Internal(
-                    "parallel extraction missed a fill payload");
-              }
-              return std::string_view(er.payloads[rep]);
-            }));
         RETURN_IF_ERROR(ProcessRow(
             fix, &states, senders, exec, er.addr, er.stored_prev,
             er.stored_ts,
@@ -612,10 +639,6 @@ Status ExecuteGroupDifferentialRefresh(
             }));
       }
     }
-    RETURN_IF_ERROR(shared_sender.Flush());
-    for (const std::unique_ptr<BatchingSender>& s : owned_senders) {
-      RETURN_IF_ERROR(s->Flush());
-    }
     if (!states.empty()) {
       merge_span.Note("entries", states[0].member.stats->entries_scanned);
     }
@@ -624,15 +647,6 @@ Status ExecuteGroupDifferentialRefresh(
   } else {
     // --- Sequential path: the paper's single combined scan. ---
     obs::Tracer::Span scan_span(tracer, "scan+transmit");
-    // Each fill needs its class representative's verdict even for rows the
-    // transmit rule skips. It is evaluated once per row, up front, and the
-    // transmit rule reads it back for the representative instead of
-    // evaluating the predicate again; other members evaluate their own.
-    constexpr size_t kNoFill = SIZE_MAX;
-    std::vector<size_t> fill_of_member(states.size(), kNoFill);
-    for (size_t k = 0; k < fills.size(); ++k) fill_of_member[fills[k].rep] = k;
-    std::vector<uint8_t> fill_qualified(fills.size(), 0);
-    std::string fill_payload;  // reused serialization buffer for fills
     auto visit_row =
         [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
           const FixupResult fix =
@@ -644,34 +658,13 @@ Status ExecuteGroupDifferentialRefresh(
                      ? std::string(row.raw)
                      : std::string()});
           }
-          if (!fills.empty()) {
-            for (size_t k = 0; k < fills.size(); ++k) {
-              ASSIGN_OR_RETURN(
-                  const bool qualified,
-                  states[fills[k].rep].restriction.Qualifies(row.user));
-              fill_qualified[k] = qualified ? 1 : 0;
-            }
-            RETURN_IF_ERROR(ObserveFills(
-                &fills, fix, addr, row.prev_addr, row.timestamp,
-                [&](size_t k) { return fill_qualified[k] != 0; },
-                [&](size_t rep) -> Result<std::string_view> {
-                  fill_payload.clear();
-                  RETURN_IF_ERROR(row.user.AppendProjectionTo(
-                      states[rep].projection_indices, &fill_payload));
-                  return std::string_view(fill_payload);
-                }));
-          }
           return ProcessRow(
               fix, &states, senders, exec, addr, row.prev_addr,
               row.timestamp,
               [&](size_t i) -> Result<bool> {
-                if (fill_of_member[i] != kNoFill) {
-                  return fill_qualified[fill_of_member[i]] != 0;
-                }
                 return states[i].restriction.Qualifies(row.user);
               },
-              [&](size_t i, const MemberState& state) -> Result<std::string> {
-                (void)i;
+              [&](size_t, const MemberState& state) -> Result<std::string> {
                 // Serialize the projection straight off the pinned view.
                 std::string payload;
                 RETURN_IF_ERROR(row.user.AppendProjectionTo(
@@ -683,15 +676,15 @@ Status ExecuteGroupDifferentialRefresh(
                              ? base->ScanAnnotatedAtEpoch(*epoch, visit_row)
                              : base->ScanAnnotated(visit_row);
     RETURN_IF_ERROR(scan_status);
-    RETURN_IF_ERROR(shared_sender.Flush());
-    for (const std::unique_ptr<BatchingSender>& s : owned_senders) {
-      RETURN_IF_ERROR(s->Flush());
-    }
     if (!states.empty()) {
       scan_span.Note("entries", states[0].member.stats->entries_scanned);
     }
     scan_span.Note("repairs", repairs.size());
     scan_span.Close();
+  }
+  RETURN_IF_ERROR(shared_sender.Flush());
+  for (const std::unique_ptr<BatchingSender>& s : owned_senders) {
+    RETURN_IF_ERROR(s->Flush());
   }
 
   obs::Tracer::Span fixup_span(tracer, "fixup-writes");
@@ -723,21 +716,22 @@ Status ExecuteGroupDifferentialRefresh(
   }
   fixup_span.Close();
 
-  // Commit the cache fills only now: the images must be stamped with the
+  // Commit the spliced images only now: they must be stamped with the
   // mutation tick as of *after* the fix-up repairs, the state a future
-  // unchanged-base rescan would observe. On the epoch path the image is
+  // unchanged-base refresh would observe. On the epoch path an image is
   // only exact when no concurrent writer interleaved — every repair landed
   // and the tick advanced by exactly the repairs we applied; otherwise the
-  // fill is dropped (the next refresh re-fills from its own scan).
+  // splices are dropped (the replay was exact all the same: the spliced
+  // images describe the cut) and the next refresh splices again.
   if (cache != nullptr) {
     const uint64_t commit_tick = base->mutation_tick();
     const bool image_exact =
         epoch == nullptr ||
         (skipped_repairs == 0 &&
          commit_tick == epoch->cut_tick + applied_repairs);
-    for (FillTarget& f : fills) {
-      if (image_exact) {
-        cache->CommitFill(std::move(f.filler), commit_tick);
+    if (image_exact) {
+      for (std::unique_ptr<DeltaCache::Splice>& s : splices) {
+        cache->CommitSplice(std::move(s), commit_tick);
       }
     }
   }

@@ -68,12 +68,15 @@ struct GroupRefreshMember {
 /// member sets are packed into 64-bit maps); larger groups silently fall
 /// back to the sequential scan.
 ///
-/// With `exec.delta_cache` set, the executor first asks the cache whether
-/// *every* member's class image is current; if so the whole group is
-/// served from memory — zero base-table reads, one oracle draw, the same
-/// byte streams a scan would emit (see snapshot/delta_cache.h). Otherwise
-/// the scan runs and re-fills one image per distinct stale class as a side
-/// effect, on both the sequential and the parallel path.
+/// With `exec.delta_cache` set, every member is replayed from its class
+/// image (see snapshot/delta_cache.h): when every image is current the
+/// whole group is served from memory — zero base-table reads, one oracle
+/// draw, the same byte streams a scan would emit. A stale image is first
+/// spliced up to the cut: the pages written since it (TableHeap's page
+/// directory) are rescanned with the fix-up chain, the rest are copied
+/// from the image, and the spliced image is installed after the fix-ups
+/// when no writer interleaved. This path is sequential; `exec.workers`
+/// applies to the cache-off scan.
 Status ExecuteGroupDifferentialRefresh(BaseTable* base,
                                        std::vector<GroupRefreshMember>*
                                            members,

@@ -21,8 +21,57 @@ std::string_view PlacementPolicyToString(PlacementPolicy policy) {
   return "unknown";
 }
 
+namespace {
+
+uint64_t NextHeapId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 TableHeap::TableHeap(BufferPool* pool, PlacementPolicy policy, uint64_t seed)
-    : pool_(pool), policy_(policy), rng_(seed) {}
+    : pool_(pool),
+      policy_(policy),
+      rng_(seed),
+      stamps_(std::make_unique<std::unique_ptr<std::atomic<uint64_t>[]>[]>(
+          kStampChunks)),
+      id_(NextHeapId()) {}
+
+void TableHeap::StampIndex(size_t page_idx) {
+  const uint64_t now = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  stamps_[page_idx / kStampChunk][page_idx % kStampChunk].store(
+      now, std::memory_order_relaxed);
+}
+
+Result<size_t> TableHeap::PageIndex(PageId page_id) const {
+  const auto it = std::lower_bound(pages_.begin(), pages_.end(), page_id);
+  if (it == pages_.end() || *it != page_id) {
+    return Status::NotFound("page " + std::to_string(page_id) +
+                            " is not in this table");
+  }
+  return static_cast<size_t>(it - pages_.begin());
+}
+
+Status TableHeap::AppendStamp() {
+  const size_t idx = pages_.size();
+  if (idx >= kStampChunk * kStampChunks) {
+    return Status::ResourceExhausted("table heap: page directory full");
+  }
+  std::unique_ptr<std::atomic<uint64_t>[]>& chunk = stamps_[idx / kStampChunk];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<std::atomic<uint64_t>[]>(kStampChunk);
+  }
+  return Status::OK();
+}
+
+void TableHeap::StampAll() {
+  const uint64_t now = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  for (size_t i = 0; i < pages_.size(); ++i) {
+    stamps_[i / kStampChunk][i % kStampChunk].store(
+        now, std::memory_order_relaxed);
+  }
+}
 
 std::shared_ptr<TableEpoch> TableHeap::OpenEpoch() {
   std::vector<PageId> pages = pages_;
@@ -139,24 +188,23 @@ Result<std::unique_ptr<TableHeap>> TableHeap::Attach(
     return Status::InvalidArgument("Attach: pages must be in address order");
   }
   auto heap = std::make_unique<TableHeap>(pool, policy, seed);
-  heap->pages_ = std::move(pages);
-  uint64_t live = 0;
-  for (PageId id : heap->pages_) {
-    ASSIGN_OR_RETURN(Page * page, pool->FetchPage(id));
-    PageGuard guard(pool, page);
-    live += SlottedPage(page).live_count();
+  for (PageId id : pages) {
+    RETURN_IF_ERROR(heap->AppendStamp());
+    heap->pages_.push_back(id);
   }
-  heap->live_tuples_.store(live, std::memory_order_relaxed);
+  RETURN_IF_ERROR(heap->RecountLive());
   return heap;
 }
 
 Result<PageId> TableHeap::AllocatePage() {
+  RETURN_IF_ERROR(AppendStamp());
   PageId id;
   ASSIGN_OR_RETURN(Page * page, pool_->NewPage(&id));
   PageGuard guard(pool_, page, /*dirty=*/true);
   SlottedPage sp(page);
   sp.Init();
   pages_.push_back(id);
+  StampIndex(pages_.size() - 1);
   ++stats_.page_allocations;
   return id;
 }
@@ -208,12 +256,14 @@ Result<Address> TableHeap::Insert(std::string_view bytes) {
     return Status::InvalidArgument("tuple larger than page capacity");
   }
   ASSIGN_OR_RETURN(PageId page_id, PickPageForInsert(bytes.size()));
+  ASSIGN_OR_RETURN(size_t page_idx, PageIndex(page_id));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(page_id, page->data());
   ASSIGN_OR_RETURN(SlotId slot,
                    SlottedPage(page).Insert(bytes, SlotReuseAllowed()));
+  StampIndex(page_idx);
   latch.unlock();
   live_tuples_.fetch_add(1, std::memory_order_relaxed);
   ++stats_.inserts;
@@ -222,11 +272,13 @@ Result<Address> TableHeap::Insert(std::string_view bytes) {
 
 Status TableHeap::Delete(Address addr) {
   if (!addr.IsReal()) return Status::InvalidArgument("delete: bad address");
+  ASSIGN_OR_RETURN(size_t page_idx, PageIndex(addr.page()));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(addr.page()));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(addr.page(), page->data());
   RETURN_IF_ERROR(SlottedPage(page).Delete(addr.slot()));
+  StampIndex(page_idx);
   latch.unlock();
   live_tuples_.fetch_sub(1, std::memory_order_relaxed);
   ++stats_.deletes;
@@ -235,11 +287,13 @@ Status TableHeap::Delete(Address addr) {
 
 Status TableHeap::Update(Address addr, std::string_view bytes) {
   if (!addr.IsReal()) return Status::InvalidArgument("update: bad address");
+  ASSIGN_OR_RETURN(size_t page_idx, PageIndex(addr.page()));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(addr.page()));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(addr.page(), page->data());
   RETURN_IF_ERROR(SlottedPage(page).Update(addr.slot(), bytes));
+  StampIndex(page_idx);
   latch.unlock();
   ++stats_.updates;
   return Status::OK();
@@ -266,11 +320,13 @@ Result<TableHeap::TupleRef> TableHeap::GetView(Address addr) {
 
 Result<TableHeap::MutableTupleRef> TableHeap::GetMutable(Address addr) {
   if (!addr.IsReal()) return Status::InvalidArgument("get: bad address");
+  ASSIGN_OR_RETURN(size_t page_idx, PageIndex(addr.page()));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(addr.page()));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(addr.page(), page->data());
   ASSIGN_OR_RETURN(std::string_view view, SlottedPage(page).Get(addr.slot()));
+  StampIndex(page_idx);
   MutableTupleRef ref;
   ref.guard = std::move(guard);
   ref.latch = std::move(latch);
@@ -296,7 +352,9 @@ Status TableHeap::AppendPage(PageId page_id) {
   if (!pages_.empty() && page_id < pages_.back()) {
     return Status::InvalidArgument("AppendPage: page id out of order");
   }
+  RETURN_IF_ERROR(AppendStamp());
   pages_.push_back(page_id);
+  StampIndex(pages_.size() - 1);
   ++stats_.page_allocations;
   return Status::OK();
 }
@@ -309,6 +367,7 @@ Status TableHeap::RecountLive() {
     live += SlottedPage(page).live_count();
   }
   live_tuples_.store(live, std::memory_order_relaxed);
+  StampAll();
   return Status::OK();
 }
 

@@ -161,6 +161,15 @@ class TableEpoch {
 ///
 /// Iteration via `Iterator` / `ForEach` visits live tuples in strictly
 /// increasing address order — the scan order the refresh algorithms rely on.
+///
+/// Page directory: the heap keeps a change clock and, per page, the clock
+/// value of the page's last change. Every mutation (Insert, Update, Delete,
+/// GetMutable, page allocation) advances the clock by one and stamps the
+/// page it changed with the new value; Attach, AppendPage and RecountLive
+/// stamp every page they register or recount, because pages changed
+/// beneath the heap (restart, recovery) changed at an unknown time. A page
+/// whose stamp is at most T is therefore byte-for-byte unchanged, in its
+/// rows, since the clock read T — which lets a delta-cache fill reuse it.
 class TableHeap {
  public:
   TableHeap(BufferPool* pool, PlacementPolicy policy = PlacementPolicy::kFirstFit,
@@ -257,6 +266,26 @@ class TableHeap {
   uint64_t live_tuples() const {
     return live_tuples_.load(std::memory_order_relaxed);
   }
+
+  /// The change clock: the number of page changes this heap has made
+  /// (BaseTable::mutation_tick reads it).
+  uint64_t clock() const { return clock_.load(std::memory_order_acquire); }
+
+  /// Advances the clock without changing a page: a change in how rows read
+  /// (BaseTable::SetMode) that must still invalidate cached images.
+  void Tick() { clock_.fetch_add(1, std::memory_order_acq_rel); }
+
+  /// The clock value of the last change to pages()[page_idx]. Readers may
+  /// call it while a writer runs, for any page that existed when they
+  /// synchronized with the writers (an epoch's pages, for instance).
+  uint64_t page_stamp(size_t page_idx) const {
+    return stamps_[page_idx / kStampChunk][page_idx % kStampChunk].load(
+        std::memory_order_relaxed);
+  }
+
+  /// Process-unique identity: a clock value means nothing for another heap
+  /// (a table re-attached after a restart starts a new clock).
+  uint64_t id() const { return id_; }
   const TableHeapStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TableHeapStats{}; }
   const std::vector<PageId>& pages() const { return pages_; }
@@ -381,6 +410,16 @@ class TableHeap {
 
   Result<PageId> AllocatePage();
 
+  /// Advances the clock and stamps pages()[page_idx] with the new value.
+  void StampIndex(size_t page_idx);
+  /// The position of `page_id` in pages(); NotFound if another table's.
+  Result<size_t> PageIndex(PageId page_id) const;
+  /// Makes room in the directory for one more page; call before appending
+  /// to pages_ (and stamp the new entry after).
+  Status AppendStamp();
+  /// Advances the clock once and stamps every page with it.
+  void StampAll();
+
   bool SlotReuseAllowed() const {
     return policy_ != PlacementPolicy::kAppend;
   }
@@ -393,6 +432,15 @@ class TableHeap {
   // writers themselves are serialized externally (BaseTable::mutate_mu_).
   std::atomic<uint64_t> live_tuples_{0};
   TableHeapStats stats_;
+
+  // The page directory, indexed like pages_. Fixed-size chunks behind a
+  // fixed-size table so appending a page never moves an entry a
+  // concurrent reader may be loading.
+  static constexpr size_t kStampChunk = 1024;
+  static constexpr size_t kStampChunks = 4096;  // 4 M pages per table
+  std::atomic<uint64_t> clock_{0};
+  std::unique_ptr<std::unique_ptr<std::atomic<uint64_t>[]>[]> stamps_;
+  const uint64_t id_;
 };
 
 }  // namespace snapdiff

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -635,11 +639,11 @@ TEST(DeltaCacheTest, MutationTickAdvancesOnEveryMutation) {
   EXPECT_FALSE(cache.CanServe(*h.base, descs[0]));
 }
 
-/// The fill's consistency checks, driven through the Filler API directly:
-/// an unchanged qualified row the previous image does not hold, and an
-/// address that does not strictly increase. Each must abort the fill, drop
-/// the class, and leave the next refresh to rescan with the byte-identical
-/// wire of a cache-less mirror.
+/// The splice's consistency checks, driven through the Splice API
+/// directly: reused rows the previous image does not hold, and an address
+/// that does not strictly increase. Each must abort the fill, drop the
+/// class, and leave the next refresh to rescan with the byte-identical wire
+/// of a cache-less mirror.
 TEST(DeltaCacheTest, InconsistentFillAbortsAndNextRefreshRescans) {
   Harness plain, cached;
   plain.Create();
@@ -668,23 +672,29 @@ TEST(DeltaCacheTest, InconsistentFillAbortsAndNextRefreshRescans) {
 
   struct BadFill {
     const char* what;
-    std::function<void(DeltaCache::Filler*)> feed;
+    std::function<void(DeltaCache::Splice*)> feed;
   };
   const std::vector<BadFill> cases = {
-      {"unchanged qualified row missing from the prior image",
-       [&](DeltaCache::Filler* f) {
-         f->Observe(absent, f->reuse_floor(), /*qualified=*/true,
-                    /*unchanged=*/true, "");
+      {"reused rows missing from the prior image",
+       [&](DeltaCache::Splice* s) {
+         // Every row the prior holds, then one run past its end.
+         DeltaCache::Splice::PriorRun run =
+             s->FindPrior(0, absent.page() - 1);
+         ASSERT_FALSE(run.empty());
+         run.begin = run.end;
+         run.end = run.end + 1;
+         run.first = absent;
+         s->CopyPrior(run, absent, s->prior_tick(), s->prior_tick());
        }},
       {"address below its predecessor",
-       [&](DeltaCache::Filler* f) {
-         f->Observe(second, f->reuse_floor(), false, false, "");
-         f->Observe(first, f->reuse_floor(), false, false, "");
+       [&](DeltaCache::Splice* s) {
+         s->Append(second, 1, 1, false, "");
+         s->Append(first, 1, 1, false, "");
        }},
       {"address repeated",
-       [&](DeltaCache::Filler* f) {
-         f->Observe(first, f->reuse_floor(), false, false, "");
-         f->Observe(first, f->reuse_floor(), false, false, "");
+       [&](DeltaCache::Splice* s) {
+         s->Append(first, 1, 1, false, "");
+         s->Append(first, 1, 1, false, "");
        }},
   };
   for (size_t c = 0; c < cases.size(); ++c) {
@@ -698,11 +708,11 @@ TEST(DeltaCacheTest, InconsistentFillAbortsAndNextRefreshRescans) {
     ASSERT_TRUE(cache.CanServe(*cached.base, cd[1]));
 
     const DeltaCache::StatsSnapshot before = cache.Stats();
-    std::unique_ptr<DeltaCache::Filler> filler =
-        cache.BeginFill(*cached.base, cd[0], ct[0]);
-    ASSERT_NE(filler->reuse_floor(), kNullTimestamp) << "no prior image";
-    cases[c].feed(filler.get());
-    cache.CommitFill(std::move(filler), cached.base->mutation_tick());
+    std::unique_ptr<DeltaCache::Splice> splice = cache.BeginSplice(
+        *cached.base, cd[0], cached.base->mutation_tick(), ct[0]);
+    ASSERT_TRUE(splice->has_prior()) << "no prior image";
+    cases[c].feed(splice.get());
+    cache.CommitSplice(std::move(splice), cached.base->mutation_tick());
 
     const DeltaCache::StatsSnapshot after = cache.Stats();
     EXPECT_EQ(after.aborted_fills, before.aborted_fills + 1);
@@ -721,6 +731,339 @@ TEST(DeltaCacheTest, InconsistentFillAbortsAndNextRefreshRescans) {
     ASSERT_EQ(pt, ct);
   }
   EXPECT_EQ(cache.Stats().aborted_fills, cases.size());
+}
+
+/// Pages of the base table holding at least one live row, in address
+/// order, each with its live rows.
+std::map<PageId, std::vector<Address>> LivePages(const Harness& h) {
+  std::map<PageId, std::vector<Address>> pages;
+  for (Address a : h.live) pages[a.page()].push_back(a);
+  for (auto& [page, rows] : pages) std::sort(rows.begin(), rows.end());
+  return pages;
+}
+
+/// The partial-refresh property, case by case: every refresh of the
+/// cached side — a splice of the stale image (only the pages written since
+/// it are rescanned) followed by a replay — must match the cache-less
+/// twin's full rescan byte for byte, stream and channel meters alike, and
+/// the splice must really have reused the clean pages.
+TEST(DeltaCacheTest, PartialRefreshMatchesFullRescan) {
+  Harness plain, cached;
+  plain.Create();
+  cached.Create();
+  plain.Populate(57, 2400);
+  cached.Populate(57, 2400);
+  DeltaCache cache(/*byte_budget=*/0);
+
+  auto mk = [] {
+    std::vector<SnapshotDescriptor> d;
+    d.push_back(MakeDesc(1, "Salary < 15"));
+    d.push_back(MakeDesc(2, "Salary < 15", /*anchor=*/true));
+    d.push_back(MakeDesc(3, "Salary >= 15"));
+    d.push_back(MakeDesc(4, "Salary >= 15", /*anchor=*/true));
+    return d;
+  };
+  auto pd = mk();
+  auto cd = mk();
+  std::vector<Timestamp> pt(4, kNullTimestamp), ct(4, kNullTimestamp);
+
+  // Harness::Mutate with full pages tolerated: an update that outgrows its
+  // page fails the same way on both twins and changes nothing.
+  auto churn = [](Harness* h, uint64_t seed, int ops) {
+    Random rng(seed);
+    for (int op = 0; op < ops; ++op) {
+      const int kind = static_cast<int>(rng.Uniform(3));
+      const int64_t salary = static_cast<int64_t>(rng.Uniform(30));
+      if (kind == 0 || h->live.empty()) {
+        auto a = h->base->Insert(Row("c" + std::to_string(op), salary));
+        ASSERT_TRUE(a.ok());
+        h->live.push_back(*a);
+      } else if (kind == 1) {
+        const Status st = h->base->Update(
+            h->live[rng.Uniform(h->live.size())], Row("u", salary));
+        ASSERT_TRUE(st.ok() || st.IsResourceExhausted()) << st.ToString();
+      } else {
+        const size_t idx = rng.Uniform(h->live.size());
+        ASSERT_TRUE(h->base->Delete(h->live[idx]).ok());
+        h->live.erase(h->live.begin() + idx);
+      }
+    }
+  };
+  // Applies the same edit to both twins; the edit receives the harness.
+  auto both = [&](const std::function<void(Harness*)>& edit) {
+    edit(&plain);
+    edit(&cached);
+  };
+  // One refresh of `which` on both sides; returns the cached side's run and
+  // the pages its splice rescanned and reused.
+  struct Step {
+    RunResult run;
+    uint64_t rescanned = 0;
+    uint64_t reused = 0;
+  };
+  auto refresh = [&](const std::vector<size_t>& which,
+                     const RefreshExecution& plain_exec,
+                     const RefreshExecution& cached_exec) {
+    const DeltaCache::StatsSnapshot before = cache.Stats();
+    RunResult rescan = RunGroup(&plain, &pd, &pt, which, plain_exec);
+    Step step;
+    step.run = RunGroup(&cached, &cd, &ct, which, cached_exec);
+    ExpectSameWire(rescan, step.run);
+    EXPECT_EQ(pt, ct) << "oracle lockstep lost";
+    const DeltaCache::StatsSnapshot after = cache.Stats();
+    step.rescanned = after.pages_rescanned - before.pages_rescanned;
+    step.reused = after.pages_reused - before.pages_reused;
+    return step;
+  };
+  auto round = [&](const char* what) {
+    SCOPED_TRACE(what);
+    const size_t pages = cached.base->info()->heap->pages().size();
+    // Class "< 15" is stale after the edit: its leader splices.
+    Step lead = refresh({0}, Exec(nullptr), Exec(&cache));
+    EXPECT_FALSE(lead.run.stats[0].served_from_cache);
+    EXPECT_EQ(lead.rescanned + lead.reused, pages);
+    // The anchor member of the same class replays the fresh image.
+    Step lag = refresh({1}, Exec(nullptr), Exec(&cache));
+    EXPECT_TRUE(lag.run.stats[0].served_from_cache);
+    EXPECT_EQ(lag.rescanned + lag.reused, 0u);
+    return lead;
+  };
+
+  // First fill: no image, every page is dirty.
+  Step first = refresh({0, 1, 2, 3}, Exec(nullptr), Exec(&cache));
+  EXPECT_EQ(first.reused, 0u);
+  EXPECT_EQ(first.rescanned, cached.base->info()->heap->pages().size());
+  const std::map<PageId, std::vector<Address>> layout = LivePages(cached);
+  ASSERT_GE(layout.size(), 8u) << "the cases below need several pages";
+
+  // Update-only burst on two pages: only those pages are rescanned.
+  {
+    auto it = layout.begin();
+    const Address a = it->second[3];
+    std::advance(it, 4);
+    const Address b = it->second[1];
+    both([&](Harness* h) {
+      ASSERT_TRUE(h->base->Update(a, Row("a", 3)).ok());
+      ASSERT_TRUE(h->base->Update(b, Row("b", 27)).ok());
+    });
+    Step s = round("update-only burst");
+    EXPECT_EQ(s.rescanned, 2u);
+  }
+
+  // Deleting the table's first row: its successor is renumbered.
+  {
+    const Address head = layout.begin()->second.front();
+    both([&](Harness* h) {
+      ASSERT_TRUE(h->base->Delete(head).ok());
+      std::erase(h->live, head);
+    });
+    Step s = round("delete the first row");
+    EXPECT_EQ(s.rescanned, 1u);
+  }
+
+  // Deletes whose successor lies beyond emptied pages: the last row of page
+  // 2 and every row of pages 3 and 4. The successor (first row of page 5)
+  // sits on a clean page and must still get its deletion repair.
+  {
+    auto it = std::next(layout.begin(), 2);
+    std::vector<Address> doomed = {it->second.back()};
+    for (int k = 0; k < 2; ++k) {
+      ++it;
+      doomed.insert(doomed.end(), it->second.begin(), it->second.end());
+    }
+    both([&](Harness* h) {
+      for (Address a : doomed) {
+        ASSERT_TRUE(h->base->Delete(a).ok());
+        std::erase(h->live, a);
+      }
+    });
+    Step s = round("deletes past emptied pages");
+    EXPECT_EQ(s.rescanned, 3u);
+    EXPECT_GT(s.run.stats[0].fixups_deleted, 0u);
+  }
+
+  // Reinserts: first-fit fills the hole on page 0, then the emptied page 3.
+  both([&](Harness* h) {
+    for (int k = 0; k < 5; ++k) {
+      auto a = h->base->Insert(Row("re" + std::to_string(k), 4 + k));
+      ASSERT_TRUE(a.ok());
+      h->live.push_back(*a);
+    }
+  });
+  {
+    Step s = round("reinsert into an emptied page");
+    EXPECT_GE(s.rescanned, 2u);
+    EXPECT_GT(s.reused, 0u);
+  }
+
+  // Inserts onto newly allocated pages past the end of the table.
+  {
+    const size_t pages_before = cached.base->info()->heap->pages().size();
+    both([&](Harness* h) {
+      for (int k = 0; k < 400; ++k) {
+        auto a = h->base->Insert(Row("new" + std::to_string(k), k % 30));
+        ASSERT_TRUE(a.ok());
+        h->live.push_back(*a);
+      }
+    });
+    ASSERT_GT(cached.base->info()->heap->pages().size(), pages_before);
+    Step s = round("inserts on new pages");
+    EXPECT_GT(s.reused, 0u);
+  }
+
+  // A two-class group with one class current and one stale: class ">= 15"
+  // has not refreshed since the first fill, class "< 15" just did.
+  {
+    both([&](Harness* h) { churn(h, 901, 40); });
+    refresh({0}, Exec(nullptr), Exec(&cache));
+    ASSERT_TRUE(cache.CanServe(*cached.base, cd[1]));
+    ASSERT_FALSE(cache.CanServe(*cached.base, cd[3]));
+    Step s = refresh({1, 3}, Exec(nullptr), Exec(&cache));
+    EXPECT_FALSE(s.run.stats[0].served_from_cache);
+    EXPECT_GT(s.reused, 0u);
+    EXPECT_TRUE(cache.CanServe(*cached.base, cd[2]));
+  }
+
+  // Seeded churn: random bursts of every kind, each refresh checked.
+  for (uint64_t r = 0; r < 6; ++r) {
+    both([&](Harness* h) { churn(h, 930 + r, 10 + 20 * (r % 3)); });
+    const std::vector<size_t> which =
+        r % 2 == 0 ? std::vector<size_t>{0, 3} : std::vector<size_t>{2};
+    refresh(which, Exec(nullptr), Exec(&cache));
+    refresh({1}, Exec(nullptr), Exec(&cache));
+  }
+
+  // A writer interleaving the refresh: both sides refresh over a cut taken
+  // before a burst of writes. The streams equal the cut, and the cached
+  // side installs nothing (the repairs no longer describe the table).
+  {
+    both([&](Harness* h) { churn(h, 950, 30); });
+    RefreshExecution plain_exec = Exec(nullptr);
+    RefreshExecution cached_exec = Exec(&cache);
+    plain_exec.epoch = plain.base->OpenEpoch();
+    cached_exec.epoch = cached.base->OpenEpoch();
+    both([&](Harness* h) { churn(h, 951, 30); });
+    const uint64_t fills = cache.Stats().fills;
+    Step s = refresh({0}, plain_exec, cached_exec);
+    EXPECT_GT(s.reused, 0u);
+    EXPECT_EQ(cache.Stats().fills, fills) << "an inexact splice installed";
+    EXPECT_FALSE(cache.CanServe(*cached.base, cd[1]));
+    // Quiesced again, the next refresh splices and installs.
+    round("after the interleaved writer");
+  }
+
+  // A re-attached heap: the same pages under a new heap (a restart) share
+  // nothing with the old clock, so the image must be rebuilt from every
+  // page. Recovery's recount on a live heap has the same effect.
+  {
+    BufferPool* pool = cached.sys.base_catalog()->buffer_pool();
+    Catalog reattached(pool);
+    TableInfo* old_info = cached.base->info();
+    auto info = reattached.AttachTable(old_info->name, old_info->schema,
+                                       old_info->heap->pages(),
+                                       old_info->heap->policy(), old_info->id);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    BaseTable base(*info, AnnotationMode::kLazy, cached.base->oracle(),
+                   /*wal=*/nullptr);
+    BaseTable* old_base = cached.base;
+    cached.base = &base;
+    both([&](Harness* h) { churn(h, 960, 20); });
+    Step s = round("re-attached heap");
+    EXPECT_EQ(s.reused, 0u);
+
+    ASSERT_TRUE(base.info()->heap->RecountLive().ok());
+    ASSERT_FALSE(cache.CanServe(base, cd[1]));
+    Step recount = round("recounted heap");
+    EXPECT_EQ(recount.reused, 0u);
+    cached.base = old_base;  // `base` dies with this scope
+  }
+}
+
+/// Writers racing a cached refresh: the splice reads the page directory
+/// while writer threads stamp pages, so it must still transmit exactly the
+/// cut (the quiesced cache-less twin's stream) and install nothing, and
+/// the next quiesced refresh must converge. Run under TSan in CI.
+TEST(DeltaCacheTest, SpliceBesideConcurrentWriters) {
+  SnapshotSystemOptions cached_opts;
+  cached_opts.delta_cache_enabled = true;
+  SnapshotSystem cached_sys(cached_opts);
+  SnapshotSystem plain_sys;
+  struct Site {
+    SnapshotSystem* sys;
+    BaseTable* base = nullptr;
+    std::vector<Address> live;
+  };
+  Site sites[2] = {{&cached_sys, nullptr, {}}, {&plain_sys, nullptr, {}}};
+  for (Site& s : sites) {
+    auto b = s.sys->CreateBaseTable("emp", EmpSchema());
+    ASSERT_TRUE(b.ok());
+    s.base = *b;
+    Random rng(5);
+    for (int i = 0; i < 3000; ++i) {
+      auto a = s.base->Insert(
+          Row("e" + std::to_string(i), int64_t(rng.Uniform(30))));
+      ASSERT_TRUE(a.ok());
+      s.live.push_back(*a);
+    }
+    ASSERT_TRUE(s.sys->CreateSnapshot("snap", "emp", "Salary < 15").ok());
+    ASSERT_TRUE(s.sys->Refresh(RefreshRequest::For("snap")).ok());
+    // The same pre-cut burst on both sides, on the first page or two.
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(s.base->Update(s.live[i], Row("p", i % 30)).ok());
+    }
+  }
+  auto oracle = plain_sys.Refresh(RefreshRequest::For("snap"));
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  constexpr int kWriters = 2;
+  std::vector<std::thread> writers;
+  RefreshRequest request = RefreshRequest::For("snap");
+  Site& a = sites[0];
+  // The writers own disjoint slices of the last third of the rows, so the
+  // middle pages stay clean and are copied from the image.
+  // Each writer's first write lands before the refresh goes on, so the
+  // refresh is interleaved however the threads are scheduled.
+  std::atomic<int> started{0};
+  request.on_epoch_open = [&a, &writers, &started] {
+    const size_t first = a.live.size() * 2 / 3;
+    const size_t slice = (a.live.size() - first) / kWriters;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([base = a.base, &a, &started, first, slice, t] {
+        Random rng(100 + t);
+        for (int op = 0; op < 300; ++op) {
+          const Address addr =
+              a.live[first + t * slice + rng.Uniform(slice)];
+          const Status st = base->Update(addr, Row("w", op % 30));
+          EXPECT_TRUE(st.ok() || st.IsResourceExhausted()) << st.ToString();
+          if (op == 0) started.fetch_add(1);
+        }
+      });
+    }
+    while (started.load() < kWriters) std::this_thread::yield();
+  };
+  const DeltaCache::StatsSnapshot before = cached_sys.delta_cache()->Stats();
+  auto concurrent = cached_sys.Refresh(request);
+  for (std::thread& w : writers) w.join();
+  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+  ASSERT_EQ(writers.size(), static_cast<size_t>(kWriters));
+  const ChannelStats& got = concurrent->stats.traffic;
+  const ChannelStats& want = oracle->stats.traffic;
+  EXPECT_EQ(got.entry_messages, want.entry_messages);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  const DeltaCache::StatsSnapshot after = cached_sys.delta_cache()->Stats();
+  EXPECT_GT(after.pages_reused, before.pages_reused);
+  EXPECT_EQ(after.fills, before.fills) << "installed an inexact splice";
+
+  ASSERT_TRUE(cached_sys.DrainChannel().ok());
+  ASSERT_TRUE(cached_sys.Refresh(RefreshRequest::For("snap")).ok());
+  auto snap = cached_sys.GetSnapshot("snap");
+  ASSERT_TRUE(snap.ok());
+  auto actual = (*snap)->Contents();
+  auto expected = cached_sys.ExpectedContents("snap");
+  ASSERT_TRUE(actual.ok() && expected.ok());
+  EXPECT_EQ(*actual, *expected);
+  EXPECT_TRUE(ValidateAnnotationChain(a.base).ok());
 }
 
 /// Introspection surface: stats, per-class debug lines, and Clear().

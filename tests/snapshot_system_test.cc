@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "catalog/tuple_view.h"
 #include "common/random.h"
 
 namespace snapdiff {
@@ -134,6 +135,37 @@ TEST(SnapshotSystemTest, BindingsFollowAnnotationColumnsAddedLater) {
   ExpectFaithful(&sys, "low");
   EXPECT_EQ(third->stats.traffic.entry_messages, 0u);
   EXPECT_EQ(third->stats.base_writes, 0u);
+
+  // The write path is bound to the grown layout too: a new row is stored
+  // at full width with NULL annotations (lazy), an update widens a row
+  // written before the columns existed, and a delete repairs the chain.
+  auto fresh = (*base)->Insert(Row("emp-new", 2));
+  ASSERT_TRUE(fresh.ok());
+  {
+    auto stored = (*base)->info()->heap->Get(*fresh);
+    ASSERT_TRUE(stored.ok());
+    auto view = TupleView::Parse((*base)->stored_schema(), *stored);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view->stored_field_count(),
+              (*base)->stored_schema().column_count());
+    auto annotated = (*base)->ReadAnnotated(*fresh);
+    ASSERT_TRUE(annotated.ok());
+    EXPECT_TRUE(annotated->prev_addr.IsNull());
+    EXPECT_EQ(annotated->timestamp, kNullTimestamp);
+  }
+  ASSERT_TRUE((*base)->Update(addrs[7], Row("emp-7b", 8)).ok());
+  ASSERT_TRUE((*base)->Delete(addrs[9]).ok());
+  auto fourth = sys.Refresh(RefreshRequest::For("low"));
+  ASSERT_TRUE(fourth.ok());
+  ExpectFaithful(&sys, "low");
+  // The insert, the update and the row after the deleted one (it now
+  // closes the gap) — nothing resent for lack of annotations.
+  EXPECT_LE(fourth->stats.traffic.entry_messages, 3u);
+  EXPECT_TRUE(ValidateAnnotationChain(*base).ok());
+  auto fifth = sys.Refresh(RefreshRequest::For("low"));
+  ASSERT_TRUE(fifth.ok());
+  EXPECT_EQ(fifth->stats.traffic.entry_messages, 0u);
+  EXPECT_EQ(fifth->stats.base_writes, 0u);
 
   // The full refresh now reads the user prefix of annotated rows.
   ASSERT_TRUE(sys.Refresh(RefreshRequest::For("mid")).ok());

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,34 @@ class TableHeapFuzzTest
     : public ::testing::TestWithParam<std::tuple<PlacementPolicy, uint64_t>> {
 };
 
+/// The page directory as the reference model sees it: every page's stamp,
+/// indexed like pages().
+std::vector<uint64_t> Stamps(const TableHeap& heap) {
+  std::vector<uint64_t> stamps;
+  for (size_t i = 0; i < heap.pages().size(); ++i) {
+    stamps.push_back(heap.page_stamp(i));
+  }
+  return stamps;
+}
+
+/// Asserts the directory moved exactly as one mutation should: the pages
+/// in `touched` (ids) are stamped above the clock `before`, at or below the
+/// clock now, and every other page that existed kept its stamp.
+void ExpectStampedExactly(const TableHeap& heap,
+                          const std::vector<uint64_t>& stamps_before,
+                          uint64_t before, const std::set<PageId>& touched) {
+  for (size_t i = 0; i < heap.pages().size(); ++i) {
+    const PageId id = heap.pages()[i];
+    if (touched.contains(id)) {
+      EXPECT_GT(heap.page_stamp(i), before) << "page " << id;
+      EXPECT_LE(heap.page_stamp(i), heap.clock()) << "page " << id;
+    } else {
+      ASSERT_LT(i, stamps_before.size()) << "untouched new page " << id;
+      EXPECT_EQ(heap.page_stamp(i), stamps_before[i]) << "page " << id;
+    }
+  }
+}
+
 TEST_P(TableHeapFuzzTest, MatchesReferenceModel) {
   const auto [policy, seed] = GetParam();
   MemoryDiskManager disk;
@@ -88,31 +117,73 @@ TEST_P(TableHeapFuzzTest, MatchesReferenceModel) {
   std::map<Address, std::string> ref;
 
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng.Uniform(4));
+    const int op = static_cast<int>(rng.Uniform(5));
+    const std::vector<uint64_t> stamps = Stamps(heap);
+    const uint64_t clock = heap.clock();
     if (op == 0 || ref.empty()) {
       std::string data(rng.Uniform(300) + 1, char('a' + rng.Uniform(26)));
       auto addr = heap.Insert(data);
       ASSERT_TRUE(addr.ok());
       EXPECT_FALSE(ref.contains(*addr)) << "address reuse while live";
       ref[*addr] = data;
+      ExpectStampedExactly(heap, stamps, clock, {addr->page()});
     } else if (op == 1) {
       auto it = ref.begin();
       std::advance(it, rng.Uniform(ref.size()));
-      ASSERT_TRUE(heap.Delete(it->first).ok());
+      const Address addr = it->first;
+      ASSERT_TRUE(heap.Delete(addr).ok());
       ref.erase(it);
+      ExpectStampedExactly(heap, stamps, clock, {addr.page()});
     } else if (op == 2) {
       auto it = ref.begin();
       std::advance(it, rng.Uniform(ref.size()));
       std::string data(rng.Uniform(300) + 1, char('A' + rng.Uniform(26)));
       Status st = heap.Update(it->first, data);
-      if (st.ok()) it->second = data;
+      if (st.ok()) {
+        it->second = data;
+        ExpectStampedExactly(heap, stamps, clock, {it->first.page()});
+      } else {
+        // A rejected update changes no page.
+        ExpectStampedExactly(heap, stamps, clock, {});
+        EXPECT_EQ(heap.clock(), clock);
+      }
+    } else if (op == 3) {
+      // An in-place patch (the fix-up path): same bytes back, page stamped.
+      auto it = ref.begin();
+      std::advance(it, rng.Uniform(ref.size()));
+      {
+        auto ref_bytes = heap.GetMutable(it->first);
+        ASSERT_TRUE(ref_bytes.ok());
+        ASSERT_EQ(ref_bytes->size, it->second.size());
+      }
+      ExpectStampedExactly(heap, stamps, clock, {it->first.page()});
     } else {
       auto it = ref.begin();
       std::advance(it, rng.Uniform(ref.size()));
       auto got = heap.Get(it->first);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(*got, it->second);
+      // Reads change nothing.
+      ExpectStampedExactly(heap, stamps, clock, {});
+      EXPECT_EQ(heap.clock(), clock);
     }
+  }
+
+  // Recovery's recount leaves every page dirty: stamped above any earlier
+  // clock reading.
+  const uint64_t before_recount = heap.clock();
+  ASSERT_TRUE(heap.RecountLive().ok());
+  for (size_t i = 0; i < heap.pages().size(); ++i) {
+    EXPECT_GT(heap.page_stamp(i), before_recount) << "page " << i;
+  }
+  // So does re-attaching the pages as a new heap, whose clock is its own.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  auto attached = TableHeap::Attach(&pool, heap.pages(), policy, seed);
+  ASSERT_TRUE(attached.ok());
+  EXPECT_NE((*attached)->id(), heap.id());
+  EXPECT_EQ((*attached)->live_tuples(), ref.size());
+  for (size_t i = 0; i < (*attached)->pages().size(); ++i) {
+    EXPECT_GT((*attached)->page_stamp(i), 0u) << "page " << i;
   }
   // Final sweep: iteration order, contents, live count.
   EXPECT_EQ(heap.live_tuples(), ref.size());
