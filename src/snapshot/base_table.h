@@ -211,8 +211,8 @@ class BaseTable {
         });
   }
 
-  /// ScanAnnotatedRange against an epoch's cut (the parallel extract
-  /// workers' shape; partitions must come from PartitionEpoch).
+  /// ScanAnnotatedRange against an epoch's cut (the differential scan's
+  /// shape; partitions must come from PartitionEpoch).
   template <typename Fn>
   Status ScanAnnotatedRangeAtEpoch(const TableEpoch& epoch,
                                    const ScanPartition& part, Fn&& fn) {

@@ -19,15 +19,15 @@ namespace snapdiff {
 
 namespace {
 
-/// Per-member transmit state (Figure 3) with the member's restriction and
-/// projection bound to user-schema column indices once per refresh, so
-/// per-row evaluation and payload serialization never look a name up.
+/// One member's restriction and projection, bound to user-schema column
+/// indices once per refresh, so per-row evaluation and payload
+/// serialization never look a name up. `last_qual` receives the member's
+/// final LastQual, which its END_OF_REFRESH carries.
 struct MemberState {
   GroupRefreshMember member;
   BoundExpression restriction;
   std::vector<size_t> projection_indices;
   Address last_qual = Address::Origin();
-  bool deletion = false;
 };
 
 /// A buffered annotation repair. Repairs are applied after the scan so the
@@ -56,9 +56,9 @@ inline bool RepairNeedsImage(Timestamp stored_ts) {
   return stored_ts == kNullTimestamp;
 }
 
-/// Figure 7 chain state, shared across the whole table scan. This is the
-/// state that makes the transmit scan inherently sequential: every row's
-/// fix-up verdict depends on its predecessors.
+/// Figure 7 chain state. Every row's fix-up verdict depends on its
+/// predecessors through it, so a partition worker knows it only from its
+/// first row with a stored PrevAddr on.
 struct FixupState {
   Timestamp fixup_time;
   Address expect_prev = Address::Origin();
@@ -120,207 +120,272 @@ FixupResult FixupRow(FixupState* fx, Address addr, Address stored_prev,
   return r;
 }
 
-/// One step of the Figure 3 transmit state machine, applied to an
-/// already-fixed-up row. This is THE transmit rule — the sequential scan,
-/// the parallel merge, and (via its image replay) the delta cache all
-/// funnel every row through these semantics, which is what makes every
-/// path emit identical message streams.
-///
-/// `qualified_for(i)` answers whether member i's restriction admits the
-/// row; `payload_for(i, state)` produces member i's serialized projection
-/// and is invoked only when a payload must actually be shipped (so the
-/// sequential path stays lazy). Member i's messages go to `senders[i]` —
-/// the shared stream unless the member brought its own sink.
-template <typename QualFn, typename PayloadFn>
-Status ProcessRow(const FixupResult& fix, std::vector<MemberState>* states,
-                  const std::vector<BatchingSender*>& senders,
-                  const RefreshExecution& exec, Address addr,
-                  Address stored_prev, Timestamp stored_ts,
-                  QualFn&& qualified_for, PayloadFn&& payload_for) {
-  // Pre-repair annotations prove whether the *value* changed (see the
-  // anchor optimization): a non-NULL stamp with an intact PrevAddr means
-  // any repairs only reacted to neighbourhood changes.
-  const bool annotations_intact =
-      !stored_prev.IsNull() && stored_ts != kNullTimestamp;
-
-  // --- BaseRefresh transmit rule (Figure 3), per member ---
-  for (size_t i = 0; i < states->size(); ++i) {
-    MemberState& state = (*states)[i];
-    RefreshStats* stats = state.member.stats;
-    ++stats->entries_scanned;
-    if (fix.inserted) ++stats->fixups_inserted;
-    if (fix.updated) ++stats->fixups_updated;
-    if (fix.deleted) ++stats->fixups_deleted;
-
-    const SnapshotDescriptor& desc = *state.member.desc;
-    const Timestamp snap_time = state.member.snap_time;
-    ASSIGN_OR_RETURN(const bool qualified, qualified_for(i));
-    if (qualified) {
-      if (fix.ts > snap_time || state.deletion) {
-        std::string payload;
-        const bool value_unchanged =
-            annotations_intact && stored_ts <= snap_time;
-        if (desc.anchor_optimization && value_unchanged) {
-          // Transmitted only to cover the preceding gap: the snapshot
-          // already holds this entry's current value, so ship the address
-          // alone (SnapshotDescriptor::anchor_optimization).
-          ++stats->anchor_messages;
-        } else if (!NextSendSuppressed(exec)) {
-          ASSIGN_OR_RETURN(payload, payload_for(i, state));
-        }
-        RETURN_IF_ERROR(senders[i]->Send(
-            MakeEntry(desc.id, addr, state.last_qual, std::move(payload))));
-      }
-      state.last_qual = addr;
-      state.deletion = false;
-    } else {
-      if (fix.ts > snap_time) {
-        // "Updated entry ==> may have qualified before update".
-        state.deletion = true;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-/// --- Parallel extraction -------------------------------------------------
-///
-/// Workers cannot run ProcessRow: the Figure 7 chain (ExpectPrev/LastAddr)
-/// and each member's Deletion flag thread through every row in address
-/// order. What workers CAN do is everything per-row and expensive: fetch
-/// the page, deserialize the tuple, evaluate each member's restriction, and
-/// project + serialize the payloads that the merge pass will (or might)
-/// ship. The merge then replays the exact state machine over the extracted
-/// runs in address order.
-///
-/// "Might": whether a row is sent depends on scan state that can cross a
-/// partition boundary. A worker simulates the state machine locally with
-/// three-valued logic — the chain and Deletion flags enter each partition
-/// Unknown and become exact after the first row that pins them — and
-/// serializes whenever the send verdict is True or Unknown. The Unknown
-/// region is a handful of rows at each partition's head, so the wasted
-/// serialization is negligible, and the over-approximation guarantees the
-/// merge never needs a payload the worker skipped.
-
-/// Hard ceiling of the parallel-path group size: per-row member sets are
-/// packed into uint64_t bitmaps. RefreshExecution::max_parallel_members is
-/// clamped to this; larger groups fall back to the sequential scan.
-constexpr size_t kMemberBitmapWidth = 64;
-
-enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
-
-Tri TriOr(Tri a, Tri b) {
-  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
-  if (a == Tri::kFalse && b == Tri::kFalse) return Tri::kFalse;
-  return Tri::kUnknown;
-}
-
-/// One base row as captured by a partition worker: the stored annotations
-/// (the merge re-derives the fixed-up ones) plus every per-member decision
-/// that is computable without cross-partition state.
-struct ExtractedRow {
-  Address addr;
-  Address stored_prev = Address::Origin();
-  Timestamp stored_ts = kNullTimestamp;
-  uint64_t qualified = 0;    // bit i: member i's restriction admits the row
-  uint64_t has_payload = 0;  // bit i: payloads[i] was pre-serialized
-  std::vector<std::string> payloads;  // indexed by member; sized lazily
-  /// Epoch path: stored image of NULL-timestamp rows (the only rows whose
-  /// repair needs the byte-identity guard — see PendingWrite). Rows with
-  /// intact annotations stay copy-free.
-  std::string raw;
+/// One member's Figure 3 transmit state (LastQual, Deletion) as one scan
+/// sees it. A scan that knows its entry state keeps every member exact. A
+/// partition worker does not: until a member's first qualified row there,
+/// `last_qual` is the unknown entering LastQual and `deletion` says only
+/// whether a fresh unqualified row of the partition raised the flag.
+struct Track {
+  Address last_qual = Address::Origin();
+  bool deletion = false;
+  bool exact = true;
 };
 
-/// Scans one partition and extracts its rows. Runs on a pool worker; reads
-/// only shared-immutable state (`states` is const here — transmit state is
-/// owned by the merge pass) and writes only `*out` and its own counter.
-Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
-                        const std::vector<MemberState>& states,
-                        const BaseTable::ScanPartition& part,
-                        obs::Counter* rows_counter,
-                        std::vector<ExtractedRow>* out) {
-  // Local three-valued mirror of the scan state. `chain_known` flips true
-  // at the first row whose PrevAddr is non-NULL: from then on ExpectPrev
-  // here equals ExpectPrev in the merge (both are set to that row's
-  // address unconditionally), so anomaly verdicts are exact.
-  bool chain_known = false;
-  Address expect_prev = Address::Origin();
-  std::vector<Tri> deletion(states.size(), Tri::kUnknown);
+/// A row of a partition's head: the rows up to and including the first one
+/// with a stored PrevAddr. Their Figure 7 verdicts hang on the chain state
+/// entering the partition, so the worker hands them over whole — stored
+/// annotations, each member's restriction verdict, and every payload the
+/// merge might ship.
+struct HeadRow {
+  Address addr;
+  Address stored_prev;
+  Timestamp stored_ts;
+  std::vector<bool> qualified;        // by member
+  std::vector<std::string> payloads;  // by member; sized lazily
+  std::string expect_bytes;           // PendingWrite::expect_bytes
+};
 
-  auto visit = [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
-        ExtractedRow er;
-        er.addr = addr;
-        er.stored_prev = row.prev_addr;
-        er.stored_ts = row.timestamp;
-        if (epoch != nullptr && RepairNeedsImage(row.timestamp)) {
-          er.raw = std::string(row.raw);
-        }
-        const bool annotations_intact =
-            !row.prev_addr.IsNull() && row.timestamp != kNullTimestamp;
+/// An ENTRY a worker decided after its partition's head. A pending one is a
+/// member's first qualified row there: it goes out when `forced` (the row
+/// is fresh, or a fresh unqualified row before it raised Deletion) or when
+/// the member's live Deletion flag is set, and its PrevAddr is the live
+/// LastQual. Every other event is a finished message.
+struct Event {
+  size_t member;
+  Address addr;
+  Address prev;
+  bool pending;
+  bool forced;
+  bool anchor;  // payload-free (SnapshotDescriptor::anchor_optimization)
+  std::string payload;
+};
 
-        // Classify the post-fixup timestamp. Any repair stamps FixupTime,
-        // which the oracle drew after every member's SnapTime, so a row
-        // known to be repaired compares fresh for every member.
-        Tri ts_fresh_base;    // member-independent part of "ts > SnapTime"
-        bool ts_is_stored = false;
-        if (row.prev_addr.IsNull() || row.timestamp == kNullTimestamp) {
-          ts_fresh_base = Tri::kTrue;  // inserted/updated: ts := FixupTime
-        } else if (!chain_known) {
-          ts_fresh_base = Tri::kUnknown;  // anomaly undecidable at the head
-        } else if (row.prev_addr != expect_prev) {
-          ts_fresh_base = Tri::kTrue;  // deletion anomaly: ts := FixupTime
-        } else {
-          ts_fresh_base = Tri::kFalse;  // placeholder; compared per member
-          ts_is_stored = true;
-        }
-        if (!row.prev_addr.IsNull()) {
-          chain_known = true;
-          expect_prev = addr;
-        }
-
-        for (size_t i = 0; i < states.size(); ++i) {
-          const MemberState& st = states[i];
-          const SnapshotDescriptor& desc = *st.member.desc;
-          ASSIGN_OR_RETURN(const bool qualified,
-                           st.restriction.Qualifies(row.user));
-          const Tri ts_fresh =
-              ts_is_stored ? (row.timestamp > st.member.snap_time
-                                  ? Tri::kTrue
-                                  : Tri::kFalse)
-                           : ts_fresh_base;
-          if (qualified) {
-            er.qualified |= uint64_t{1} << i;
-            if (TriOr(ts_fresh, deletion[i]) != Tri::kFalse) {
-              const bool value_unchanged =
-                  annotations_intact &&
-                  row.timestamp <= st.member.snap_time;
-              if (!(desc.anchor_optimization && value_unchanged)) {
-                if (er.payloads.empty()) er.payloads.resize(states.size());
-                // Straight from the pinned view into the payload buffer —
-                // no intermediate Tuple, no projected copy.
-                RETURN_IF_ERROR(row.user.AppendProjectionTo(
-                    st.projection_indices, &er.payloads[i]));
-                er.has_payload |= uint64_t{1} << i;
-              }
-            }
-            deletion[i] = Tri::kFalse;
-          } else if (ts_fresh == Tri::kTrue) {
-            deletion[i] = Tri::kTrue;
-          } else if (ts_fresh == Tri::kUnknown &&
-                     deletion[i] != Tri::kTrue) {
-            deletion[i] = Tri::kUnknown;
-          }
-        }
-
-        rows_counter->Inc();
-        out->push_back(std::move(er));
-        return Status::OK();
-  };
-  if (epoch != nullptr) {
-    return base->ScanAnnotatedRangeAtEpoch(*epoch, part, visit);
-  }
-  return base->ScanAnnotatedRange(part, visit);
+/// Whether member `st` would ship a row with these stored annotations as a
+/// bare address: its value is unchanged since SnapTime (intact annotations,
+/// stamp not newer), so a send only covers the preceding gap.
+bool AnchorOnly(const MemberState& st, Address stored_prev,
+                Timestamp stored_ts) {
+  return st.member.desc->anchor_optimization && !stored_prev.IsNull() &&
+         stored_ts != kNullTimestamp && stored_ts <= st.member.snap_time;
 }
+
+/// The combined Figure 7 fix-up + Figure 3 transmit scan of one address
+/// range, shared by every cache-off refresh.
+///
+/// With `senders` given, the entry state is known — the table's start, or
+/// the merge's live state — and every message goes straight out (this is
+/// the sequential scan, and the merge). Without, the scan is a partition
+/// worker entering with the chain (ExpectPrev/LastAddr) and every member
+/// unknown. It keeps its head for the merge, then runs Figure 7 exactly
+/// from the first pinned row on, buffers its repairs, and records Figure
+/// 3's messages as events; only each member's first qualified row stays a
+/// pending decision. Settle() replays a worker's head and events against
+/// the live state in address order, so the stream, the stats and the
+/// repairs are the sequential scan's by construction.
+class RangeScan {
+ public:
+  RangeScan(std::vector<MemberState>* states, const TableEpoch* epoch,
+            Timestamp fixup_time, const std::vector<BatchingSender*>* senders,
+            const RefreshExecution* exec)
+      : states_(states), epoch_(epoch), senders_(senders), exec_(exec),
+        fx_{fixup_time, Address::Origin(), Address::Origin()},
+        pinned_(senders != nullptr),
+        tracks_(states->size(), Track{Address::Origin(), false, pinned_}) {}
+
+  /// Scans `part` at the refresh's cut.
+  Status Scan(BaseTable* base, const BaseTable::ScanPartition& part) {
+    auto visit = [this](Address addr, const BaseTable::AnnotatedView& row) {
+      return Visit(addr, row);
+    };
+    return epoch_ != nullptr
+               ? base->ScanAnnotatedRangeAtEpoch(*epoch_, part, visit)
+               : base->ScanAnnotatedRange(part, visit);
+  }
+
+  /// Merge: appends worker `part`'s range to this known-state scan.
+  Status Settle(RangeScan* part) {
+    for (HeadRow& h : part->head_) {
+      const FixupResult fix = Fixup(h.addr, h.stored_prev, h.stored_ts,
+                                    std::move(h.expect_bytes));
+      for (size_t i = 0; i < tracks_.size(); ++i) {
+        RETURN_IF_ERROR(Step(i, h.addr, fix.ts, h.stored_prev, h.stored_ts,
+                             h.qualified[i], [&](std::string* out) {
+                               *out = std::move(h.payloads[i]);
+                               return Status::OK();
+                             }));
+      }
+    }
+    for (Event& ev : part->events_) {
+      const Track& live = tracks_[ev.member];
+      if (ev.pending) {
+        if (!ev.forced && !live.deletion) continue;
+        ev.prev = live.last_qual;
+      }
+      RETURN_IF_ERROR(Transmit(ev.member, ev.addr, ev.prev, ev.anchor,
+                               [&ev](std::string* out) {
+                                 *out = std::move(ev.payload);
+                                 return Status::OK();
+                               }));
+    }
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      const Track& exit = part->tracks_[i];
+      if (exit.exact) {
+        tracks_[i] = exit;
+      } else if (exit.deletion) {
+        tracks_[i].deletion = true;
+      }
+    }
+    if (part->pinned_) fx_ = part->fx_;
+    repairs_.insert(repairs_.end(),
+                    std::make_move_iterator(part->repairs_.begin()),
+                    std::make_move_iterator(part->repairs_.end()));
+    rows_ += part->rows_;
+    inserted_ += part->inserted_;
+    updated_ += part->updated_;
+    deleted_ += part->deleted_;
+    return Status::OK();
+  }
+
+  /// Folds the scan's counts into every member's stats, hands each member
+  /// its final LastQual and moves the repairs out.
+  void Finish(std::vector<PendingWrite>* repairs) {
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      MemberState& st = (*states_)[i];
+      RefreshStats* stats = st.member.stats;
+      stats->entries_scanned += rows_;
+      stats->fixups_inserted += inserted_;
+      stats->fixups_updated += updated_;
+      stats->fixups_deleted += deleted_;
+      st.last_qual = tracks_[i].last_qual;
+    }
+    *repairs = std::move(repairs_);
+  }
+
+  /// Rows visited, the head included.
+  uint64_t rows() const { return rows_ + head_.size(); }
+
+ private:
+  Status Visit(Address addr, const BaseTable::AnnotatedView& row) {
+    std::string expect_bytes =
+        epoch_ != nullptr && RepairNeedsImage(row.timestamp)
+            ? std::string(row.raw)
+            : std::string();
+    if (!pinned_) {
+      // Head row: whether it is sent hangs on the entering state, so
+      // serialize every payload it might ship.
+      HeadRow h{addr, row.prev_addr, row.timestamp,
+                std::vector<bool>(tracks_.size()), {},
+                std::move(expect_bytes)};
+      for (size_t i = 0; i < tracks_.size(); ++i) {
+        const MemberState& st = (*states_)[i];
+        ASSIGN_OR_RETURN(const bool qualified,
+                         st.restriction.Qualifies(row.user));
+        h.qualified[i] = qualified;
+        if (qualified && !AnchorOnly(st, row.prev_addr, row.timestamp)) {
+          if (h.payloads.empty()) h.payloads.resize(tracks_.size());
+          RETURN_IF_ERROR(row.user.AppendProjectionTo(st.projection_indices,
+                                                      &h.payloads[i]));
+        }
+      }
+      head_.push_back(std::move(h));
+      // From the first stored PrevAddr on, ExpectPrev and LastAddr here
+      // equal the merge's: both are set to this row's address.
+      if (!row.prev_addr.IsNull()) {
+        pinned_ = true;
+        fx_.expect_prev = addr;
+      }
+      fx_.last_addr = addr;
+      return Status::OK();
+    }
+    const FixupResult fix =
+        Fixup(addr, row.prev_addr, row.timestamp, std::move(expect_bytes));
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      const MemberState& st = (*states_)[i];
+      ASSIGN_OR_RETURN(const bool qualified,
+                       st.restriction.Qualifies(row.user));
+      RETURN_IF_ERROR(Step(i, addr, fix.ts, row.prev_addr, row.timestamp,
+                           qualified, [&](std::string* out) {
+                             return row.user.AppendProjectionTo(
+                                 st.projection_indices, out);
+                           }));
+    }
+    return Status::OK();
+  }
+
+  /// Figure 7 for one row, buffering its repair.
+  FixupResult Fixup(Address addr, Address stored_prev, Timestamp stored_ts,
+                    std::string expect_bytes) {
+    const FixupResult fix = FixupRow(&fx_, addr, stored_prev, stored_ts);
+    ++rows_;
+    if (fix.inserted) ++inserted_;
+    if (fix.updated) ++updated_;
+    if (fix.deleted) ++deleted_;
+    if (fix.write_needed) {
+      repairs_.push_back({addr, fix.prev, fix.ts, stored_prev, stored_ts,
+                          std::move(expect_bytes)});
+    }
+    return fix;
+  }
+
+  /// THE transmit rule (Figure 3) for member i at one fixed-up row whose
+  /// post-fix-up stamp is `ts`. `append(out)` serializes the member's
+  /// payload and runs only when one must be built.
+  template <typename AppendFn>
+  Status Step(size_t i, Address addr, Timestamp ts, Address stored_prev,
+              Timestamp stored_ts, bool qualified, AppendFn&& append) {
+    const MemberState& st = (*states_)[i];
+    Track& track = tracks_[i];
+    const bool fresh = ts > st.member.snap_time;
+    if (!qualified) {
+      // "Updated entry ==> may have qualified before update".
+      if (fresh) track.deletion = true;
+      return Status::OK();
+    }
+    const bool send = fresh || track.deletion;
+    const bool anchor = AnchorOnly(st, stored_prev, stored_ts);
+    Status status = Status::OK();
+    if (senders_ != nullptr) {
+      if (send) status = Transmit(i, addr, track.last_qual, anchor, append);
+    } else if (send || !track.exact) {
+      Event ev{i, addr, track.last_qual, !track.exact, send, anchor, {}};
+      if (!anchor) status = append(&ev.payload);
+      events_.push_back(std::move(ev));
+    }
+    track = Track{addr, false, true};
+    return status;
+  }
+
+  /// Sends one ENTRY of member i, building its payload only when it is
+  /// neither an anchor nor certain to be suppressed by a resumed session.
+  template <typename AppendFn>
+  Status Transmit(size_t i, Address addr, Address prev, bool anchor,
+                  AppendFn&& append) {
+    MemberState& st = (*states_)[i];
+    std::string payload;
+    if (anchor) {
+      ++st.member.stats->anchor_messages;
+    } else if (!NextSendSuppressed(*exec_)) {
+      RETURN_IF_ERROR(append(&payload));
+    }
+    return (*senders_)[i]->Send(
+        MakeEntry(st.member.desc->id, addr, prev, std::move(payload)));
+  }
+
+  std::vector<MemberState>* states_;
+  const TableEpoch* epoch_;
+  const std::vector<BatchingSender*>* senders_;  // null: a partition worker
+  const RefreshExecution* exec_;
+  FixupState fx_;
+  bool pinned_;  // chain state exact (always, with a known entry state)
+  std::vector<Track> tracks_;
+  std::vector<HeadRow> head_;
+  std::vector<Event> events_;
+  std::vector<PendingWrite> repairs_;
+  uint64_t rows_ = 0;  // rows through Fixup
+  uint64_t inserted_ = 0;
+  uint64_t updated_ = 0;
+  uint64_t deleted_ = 0;
+};
 
 /// --- Delta-cache path ----------------------------------------------------
 
@@ -518,8 +583,7 @@ Status ExecuteGroupDifferentialRefresh(
   for (GroupRefreshMember& m : *members) {
     ASSIGN_OR_RETURN(BoundExpression restriction,
                      m.desc->restriction->Bind(base->user_schema()));
-    MemberState state{m, std::move(restriction), {}, Address::Origin(),
-                      false};
+    MemberState state{m, std::move(restriction), {}, Address::Origin()};
     state.projection_indices.reserve(m.desc->projection.size());
     for (const std::string& name : m.desc->projection) {
       ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
@@ -549,136 +613,77 @@ Status ExecuteGroupDifferentialRefresh(
   // Only refresh events need distinct times, so a single FixupTime stamps
   // every repair in this pass and becomes the new SnapTime of every member.
   const Timestamp fixup_time = base->oracle()->Next();
-  FixupState fx{fixup_time, Address::Origin(), Address::Origin()};
   std::vector<PendingWrite> repairs;
 
   const TableEpoch* epoch = exec.epoch.get();
   DeltaCache* cache = exec.delta_cache;
   std::vector<std::unique_ptr<DeltaCache::Splice>> splices;
-  const size_t max_parallel =
-      std::min<size_t>(exec.max_parallel_members, kMemberBitmapWidth);
-  std::vector<BaseTable::ScanPartition> partitions;
-  if (cache == nullptr && exec.workers > 1 && states.size() <= max_parallel) {
-    partitions = epoch != nullptr
-                     ? base->PartitionEpoch(*epoch, exec.workers)
-                     : base->Partition(exec.workers);
-  }
+  const size_t workers = std::max<size_t>(exec.workers, 1);
+  const std::vector<BaseTable::ScanPartition> partitions =
+      epoch != nullptr ? base->PartitionEpoch(*epoch, workers)
+                       : base->Partition(workers);
+  RangeScan scan(&states, epoch, fixup_time, &senders, &exec);
 
   if (cache != nullptr) {
     // --- Delta-cache path: splice the stale class images up to the cut,
     // then replay every member from its image.
+    FixupState fx{fixup_time, Address::Origin(), Address::Origin()};
     RETURN_IF_ERROR(RefreshThroughCache(base, epoch, cache, &states, senders,
                                         exec, tracer, &fx, &repairs,
                                         &splices));
-  } else if (partitions.size() > 1) {
-    // --- Parallel path: partition extraction, then sequential merge. ---
-    obs::Tracer::Span extract_span(tracer, "partition-extract");
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    std::vector<std::vector<ExtractedRow>> runs(partitions.size());
-    std::vector<std::future<Status>> pending;
-    pending.reserve(partitions.size());
-    for (size_t p = 0; p < partitions.size(); ++p) {
-      // Shard worker-side meters by pool slot (partition p lands on slot
-      // p % workers) so concurrent workers never contend on one counter.
-      obs::Counter* rows_counter = reg.GetCounter(
-          "snapshot.refresh.parallel.worker." +
-          std::to_string(p % exec.workers) + ".rows");
-      // Flight-recorder task-latency probe: queue wait (submit -> start of
-      // execution) as an instant in ticks, then the extraction as a span on
-      // the worker's own track.
-      const uint64_t submitted_ticks = SNAPDIFF_FR_NOW();
-      pending.push_back(exec.pool->Submit(
-          [base, epoch, &states, part = partitions[p], rows_counter,
-           run = &runs[p], submitted_ticks]() -> Status {
-            SNAPDIFF_FR_INSTANT("thread_pool.task.queue_ticks",
-                                SNAPDIFF_FR_NOW() - submitted_ticks);
-            SNAPDIFF_FR_SCOPED_SPAN(fr_span, "refresh.extract_partition");
-            (void)submitted_ticks;
-            return ExtractPartition(base, epoch, states, part, rows_counter,
-                                    run);
-          }));
-    }
-    // Join every partition before surfacing the first failure: the worker
-    // lambdas reference stack state, so no early return while they run.
-    Status extract_status = Status::OK();
-    for (std::future<Status>& f : pending) {
-      Status s = f.get();
-      if (extract_status.ok() && !s.ok()) extract_status = s;
-    }
-    RETURN_IF_ERROR(extract_status);
-    extract_span.Note("partitions", partitions.size());
-    extract_span.Note("workers", exec.workers);
-    extract_span.Close();
-
-    // The merge consumes the runs in address order, so ProcessRow sees
-    // exactly the row sequence the sequential scan would and the message
-    // stream is identical by construction.
-    obs::Tracer::Span merge_span(tracer, "merge+transmit");
-    for (std::vector<ExtractedRow>& run : runs) {
-      for (ExtractedRow& er : run) {
-        const FixupResult fix =
-            FixupRow(&fx, er.addr, er.stored_prev, er.stored_ts);
-        if (fix.write_needed) {
-          repairs.push_back({er.addr, fix.prev, fix.ts, er.stored_prev,
-                             er.stored_ts, std::move(er.raw)});
-        }
-        RETURN_IF_ERROR(ProcessRow(
-            fix, &states, senders, exec, er.addr, er.stored_prev,
-            er.stored_ts,
-            [&er](size_t i) -> Result<bool> {
-              return ((er.qualified >> i) & 1) != 0;
-            },
-            [&er](size_t i, const MemberState&) -> Result<std::string> {
-              if (((er.has_payload >> i) & 1) == 0) {
-                // Unreachable: the worker's three-valued send verdict
-                // over-approximates the merge's.
-                return Status::Internal(
-                    "parallel extraction missed a payload");
-              }
-              return std::move(er.payloads[i]);
+  } else {
+    // --- The paper's single combined scan. Over several partitions the
+    // pool's workers scan and the merge settles each one's head and
+    // pending decisions in address order. ---
+    std::vector<RangeScan> parts;
+    if (partitions.size() > 1) {
+      obs::Tracer::Span extract_span(tracer, "partition-extract");
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+      parts.assign(partitions.size(),
+                   RangeScan(&states, epoch, fixup_time, nullptr, nullptr));
+      std::vector<std::future<Status>> pending;
+      pending.reserve(partitions.size());
+      for (size_t p = 0; p < partitions.size(); ++p) {
+        // Shard worker-side meters by pool slot (partition p lands on slot
+        // p % workers) so concurrent workers never contend on one counter.
+        obs::Counter* rows_counter = reg.GetCounter(
+            "snapshot.refresh.parallel.worker." +
+            std::to_string(p % exec.workers) + ".rows");
+        // Flight-recorder task-latency probe: queue wait (submit -> start
+        // of execution) as an instant in ticks, then the scan as a span on
+        // the worker's own track.
+        const uint64_t submitted_ticks = SNAPDIFF_FR_NOW();
+        pending.push_back(exec.pool->Submit(
+            [base, part = partitions[p], rows_counter, run = &parts[p],
+             submitted_ticks]() -> Status {
+              SNAPDIFF_FR_INSTANT("thread_pool.task.queue_ticks",
+                                  SNAPDIFF_FR_NOW() - submitted_ticks);
+              SNAPDIFF_FR_SCOPED_SPAN(fr_span, "refresh.extract_partition");
+              (void)submitted_ticks;
+              Status s = run->Scan(base, part);
+              rows_counter->Inc(run->rows());
+              return s;
             }));
       }
+      // Join every partition before surfacing the first failure: the
+      // workers reference stack state, so no early return while they run.
+      Status extract_status = Status::OK();
+      for (std::future<Status>& f : pending) {
+        Status s = f.get();
+        if (extract_status.ok() && !s.ok()) extract_status = s;
+      }
+      RETURN_IF_ERROR(extract_status);
+      extract_span.Note("partitions", partitions.size());
+      extract_span.Note("workers", exec.workers);
     }
-    if (!states.empty()) {
-      merge_span.Note("entries", states[0].member.stats->entries_scanned);
+    obs::Tracer::Span scan_span(
+        tracer, parts.empty() ? "scan+transmit" : "merge+transmit");
+    for (size_t p = 0; p < partitions.size(); ++p) {
+      RETURN_IF_ERROR(parts.empty() ? scan.Scan(base, partitions[p])
+                                    : scan.Settle(&parts[p]));
     }
-    merge_span.Note("repairs", repairs.size());
-    merge_span.Close();
-  } else {
-    // --- Sequential path: the paper's single combined scan. ---
-    obs::Tracer::Span scan_span(tracer, "scan+transmit");
-    auto visit_row =
-        [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
-          const FixupResult fix =
-              FixupRow(&fx, addr, row.prev_addr, row.timestamp);
-          if (fix.write_needed) {
-            repairs.push_back(
-                {addr, fix.prev, fix.ts, row.prev_addr, row.timestamp,
-                 epoch != nullptr && RepairNeedsImage(row.timestamp)
-                     ? std::string(row.raw)
-                     : std::string()});
-          }
-          return ProcessRow(
-              fix, &states, senders, exec, addr, row.prev_addr,
-              row.timestamp,
-              [&](size_t i) -> Result<bool> {
-                return states[i].restriction.Qualifies(row.user);
-              },
-              [&](size_t, const MemberState& state) -> Result<std::string> {
-                // Serialize the projection straight off the pinned view.
-                std::string payload;
-                RETURN_IF_ERROR(row.user.AppendProjectionTo(
-                    state.projection_indices, &payload));
-                return payload;
-              });
-        };
-    Status scan_status = epoch != nullptr
-                             ? base->ScanAnnotatedAtEpoch(*epoch, visit_row)
-                             : base->ScanAnnotated(visit_row);
-    RETURN_IF_ERROR(scan_status);
-    if (!states.empty()) {
-      scan_span.Note("entries", states[0].member.stats->entries_scanned);
-    }
+    scan.Finish(&repairs);
+    scan_span.Note("entries", scan.rows());
     scan_span.Note("repairs", repairs.size());
     scan_span.Close();
   }
@@ -691,28 +696,23 @@ Status ExecuteGroupDifferentialRefresh(
   uint64_t applied_repairs = 0;
   uint64_t skipped_repairs = 0;
   for (const PendingWrite& w : repairs) {
+    bool applied = true;
     if (epoch != nullptr) {
       // Conditional: the repair holds only while the live row still carries
       // the annotations this scan observed at the cut. A writer that has
       // since touched the row wins; the dropped repair is re-derived by the
       // next refresh (the writer NULLed the stamp or repaired the chain).
-      bool applied = false;
       RETURN_IF_ERROR(base->WriteAnnotationsIf(w.addr, w.expect_prev,
                                                w.expect_ts, w.expect_bytes,
                                                w.prev, w.ts, &applied));
-      if (applied) {
-        ++applied_repairs;
-        for (MemberState& state : states) ++state.member.stats->base_writes;
-      } else {
-        ++skipped_repairs;
-        for (MemberState& state : states) {
-          ++state.member.stats->fixups_skipped;
-        }
-      }
     } else {
       RETURN_IF_ERROR(base->WriteAnnotations(w.addr, w.prev, w.ts));
-      for (MemberState& state : states) ++state.member.stats->base_writes;
     }
+    ++(applied ? applied_repairs : skipped_repairs);
+  }
+  for (MemberState& state : states) {
+    state.member.stats->base_writes += applied_repairs;
+    state.member.stats->fixups_skipped += skipped_repairs;
   }
   fixup_span.Close();
 

@@ -48,10 +48,10 @@ struct GroupRefreshMember {
 /// phase.
 ///
 /// `exec` selects the execution strategy. With `workers > 1` (and a pool)
-/// the per-row extraction work — page reads, deserialization, predicate
-/// evaluation, projection + serialization — runs over address-range
-/// partitions in parallel, and the Figure 3/7 state machine then consumes
-/// the extracted runs in address order single-threaded, so the emitted
+/// address-range partitions are scanned in parallel: each worker runs the
+/// Figure 3/7 machines over its partition, and a single-threaded merge
+/// settles only what a worker cannot know — the rows before its chain
+/// state is pinned, and each member's first send there — so the emitted
 /// message stream is byte-identical to the sequential scan. With
 /// `batch_size > 1` consecutive ENTRY messages per snapshot coalesce into
 /// ENTRY_BATCH wire messages (see BatchingSender).
@@ -62,11 +62,6 @@ struct GroupRefreshMember {
 /// the base table"). The fix-up runs once; each member keeps its own
 /// Figure-3 transmit state (LastQual, Deletion flag) against its own
 /// SnapTime. All members receive the same new SnapTime.
-///
-/// The parallel path (`exec.workers > 1`) supports groups of up to
-/// `exec.max_parallel_members` members (default and ceiling 64: per-row
-/// member sets are packed into 64-bit maps); larger groups silently fall
-/// back to the sequential scan.
 ///
 /// With `exec.delta_cache` set, every member is replayed from its class
 /// image (see snapshot/delta_cache.h): when every image is current the

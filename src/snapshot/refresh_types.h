@@ -26,8 +26,9 @@ class TableEpoch;   // storage/table_heap.h
 /// entries are transmitted (see DESIGN.md "Parallel refresh & batching").
 struct RefreshExecution {
   /// Base-table scan partitions processed concurrently. Values > 1 require
-  /// `pool` and parallelize the per-row extraction work; the transmit-state
-  /// machine always runs single-threaded over the merged runs so the
+  /// `pool`: each worker runs the Figure 3/7 scan over its partition, and a
+  /// single-threaded merge settles only what a worker cannot know — its
+  /// partition's head rows and each member's first send there — so the
   /// message stream is identical to a sequential scan.
   size_t workers = 1;
   /// Borrowed pool that runs the partition scans (required iff workers > 1).
@@ -40,12 +41,6 @@ struct RefreshExecution {
   /// sequence numbers, suppresses the already-applied prefix on a resumed
   /// attempt). Null: send session-less, directly on the channel.
   RefreshSession* session = nullptr;
-  /// Parallel-path group-size ceiling. Per-row member sets are packed into
-  /// 64-bit maps, so values above 64 are clamped to 64 (the compiled-in
-  /// bitmap width and the default); groups larger than this fall back to
-  /// the sequential scan. Exposed so benches and tests can force the
-  /// sequential path for large groups or shrink the cutover for A/B runs.
-  size_t max_parallel_members = 64;
   /// Non-null: the epoch delta cache consulted before the differential scan
   /// (a refresh whose class image is current is served from memory, zero
   /// base reads) and filled as a side effect of every scan that does run.
@@ -62,9 +57,10 @@ struct RefreshExecution {
 
 /// True when the next message an executor sends is certain to be
 /// suppressed by a resumed session, so building its payload would be pure
-/// waste. Exact only on the unbatched single-stream path: batching and the
-/// parallel extract serialize ahead of the send order, so they stay
-/// conservative and never elide.
+/// waste. Exact only on the unbatched single-stream path: batching
+/// serializes ahead of the send order, so it stays conservative and never
+/// elides. Partition workers build their payloads before the send order is
+/// known; the merge asks at send time and drops a suppressed one.
 inline bool NextSendSuppressed(const RefreshExecution& exec) {
   return exec.session != nullptr && exec.batch_size <= 1 &&
          exec.session->NextSuppressed();

@@ -129,7 +129,7 @@ void BufferPool::RemoveFromLru(size_t frame_idx) {
 }
 
 void BufferPool::SetPreFlushHook(PreFlushHook hook) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   pre_flush_hook_ = std::move(hook);
 }
 
@@ -169,7 +169,7 @@ Result<size_t> BufferPool::GetVictimFrame() {
 }
 
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   auto it = page_table_.find(page_id);
   if (it != page_table_.end()) {
     Page* page = frames_[it->second].get();
@@ -197,10 +197,11 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
 }
 
 Result<Page*> BufferPool::NewPage(PageId* page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
   ASSIGN_OR_RETURN(size_t idx, GetVictimFrame());
   Page* page = frames_[idx].get();
+  page->Zero();
   page->page_id_ = id;
   page->pin_count_ = 1;
   page->is_dirty_ = true;  // must be written even if untouched
@@ -210,7 +211,7 @@ Result<Page*> BufferPool::NewPage(PageId* page_id) {
 }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   auto it = page_table_.find(page_id);
   if (it == page_table_.end()) {
     return Status::NotFound("UnpinPage: page not resident");
@@ -225,7 +226,7 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
 }
 
 Status BufferPool::FlushPage(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   auto it = page_table_.find(page_id);
   if (it == page_table_.end()) {
     return Status::NotFound("FlushPage: page not resident");
@@ -240,7 +241,7 @@ Status BufferPool::FlushPage(PageId page_id) {
 }
 
 Status BufferPool::FlushDirty() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinThenBlockMutex> lock(mu_);
   for (const auto& [page_id, idx] : page_table_) {
     Page* page = frames_[idx].get();
     if (page->is_dirty_) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/spin_mutex.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
@@ -156,7 +157,10 @@ class BufferPool {
   /// Hook + write for one dirty page. Requires mu_ held.
   Status WriteDirtyPage(PageId page_id, const char* data);
 
-  mutable std::mutex mu_;
+  /// Spins before it blocks: a hit holds it for a table lookup and a miss
+  /// for a page copy or two, both shorter than a futex sleep and wake-up,
+  /// and parallel refresh workers and writers take it for every page.
+  mutable SpinThenBlockMutex mu_;
   DiskManager* disk_;
   PreFlushHook pre_flush_hook_;
   std::vector<std::unique_ptr<Page>> frames_;

@@ -17,7 +17,7 @@ class Page {
  public:
   static constexpr size_t kPageSize = 4096;
 
-  Page() { Reset(); }
+  Page() { Zero(); }
 
   Page(const Page&) = delete;
   Page& operator=(const Page&) = delete;
@@ -41,12 +41,15 @@ class Page {
  private:
   friend class BufferPool;
 
+  /// Detaches the frame from its page. The bytes stay: a fetch overwrites
+  /// the whole frame with the page it reads, and NewPage zeroes it.
   void Reset() {
-    std::memset(data_, 0, kPageSize);
     page_id_ = kInvalidPageId;
     pin_count_ = 0;
     is_dirty_ = false;
   }
+
+  void Zero() { std::memset(data_, 0, kPageSize); }
 
   char data_[kPageSize];
   PageId page_id_ = kInvalidPageId;

@@ -132,7 +132,7 @@ class TableEpoch {
   }
 
   /// ForEach over the epoch's pages [first_page_idx, first_page_idx +
-  /// page_count) — the parallel extract workers' shape.
+  /// page_count) — the differential scan's shape.
   template <typename Fn>
   Status ForEachInPageRange(size_t first_page_idx, size_t page_count,
                             Fn&& fn) const {

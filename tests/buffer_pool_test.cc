@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "storage/disk_manager.h"
 
@@ -47,6 +48,31 @@ TEST_F(BufferPoolTest, DataSurvivesEviction) {
   ASSERT_TRUE(again.ok());
   EXPECT_STREQ((*again)->data(), "payload");
   ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+}
+
+/// Eviction leaves a frame's bytes in place (a fetch overwrites them all),
+/// so a new page must still come up zeroed in a recycled frame.
+TEST_F(BufferPoolTest, NewPageIsZeroedInARecycledFrame) {
+  BufferPool pool(&disk_, 1);
+  PageId a;
+  auto p = pool.NewPage(&a);
+  ASSERT_TRUE(p.ok());
+  std::memset((*p)->data(), 0xab, Page::kPageSize);
+  ASSERT_TRUE(pool.UnpinPage(a, /*dirty=*/true).ok());
+
+  PageId b;
+  auto q = pool.NewPage(&b);
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(*q, *p) << "the single frame was not recycled";
+  const std::string zeros(Page::kPageSize, '\0');
+  EXPECT_EQ(std::string((*q)->data(), Page::kPageSize), zeros);
+  ASSERT_TRUE(pool.UnpinPage(b, false).ok());
+
+  auto again = pool.FetchPage(a);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(std::string((*again)->data(), Page::kPageSize),
+            std::string(Page::kPageSize, '\xab'));
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
 }
 
 TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {

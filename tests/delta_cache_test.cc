@@ -426,53 +426,6 @@ TEST(DeltaCacheTest, FanOutStampsPerMemberSessions) {
   run(times, /*expect_cached=*/true);   // whole group served from memory
 }
 
-/// The exposed parallel-group ceiling: shrinking max_parallel_members below
-/// the group size must fall back to the sequential scan (observable via the
-/// worker meters) without changing the stream.
-TEST(DeltaCacheTest, MaxParallelMembersForcesSequentialFallback) {
-  Harness a, b;
-  a.Create();
-  b.Create();
-  a.Populate(31, 1200);
-  b.Populate(31, 1200);
-  ThreadPool pool(4);
-
-  auto mk = [] {
-    std::vector<SnapshotDescriptor> d;
-    d.push_back(MakeDesc(1, "Salary < 10"));
-    d.push_back(MakeDesc(2, "Salary >= 10 AND Salary < 20"));
-    d.push_back(MakeDesc(3, "Salary >= 20"));
-    return d;
-  };
-  auto ad = mk();
-  auto bd = mk();
-  std::vector<Timestamp> at(3, kNullTimestamp), bt(3, kNullTimestamp);
-
-  RefreshExecution capped = Exec(nullptr, 4, &pool, 1);
-  capped.max_parallel_members = 2;  // 3 members > 2: sequential fallback
-
-  obs::Counter* worker0 = obs::MetricsRegistry::Default().GetCounter(
-      "snapshot.refresh.parallel.worker.0.rows");
-  const uint64_t worker_rows_before = worker0->value();
-  RunResult capped_run = RunGroup(&a, &ad, &at, {0, 1, 2}, capped);
-  EXPECT_EQ(worker0->value(), worker_rows_before)
-      << "capped group still ran partition workers";
-
-  RunResult sequential = RunGroup(&b, &bd, &bt, {0, 1, 2}, Exec(nullptr));
-  ExpectSameWire(sequential, capped_run);
-
-  // At or under the ceiling the workers do run.
-  a.Mutate(5, 50);
-  b.Mutate(5, 50);
-  RefreshExecution under = Exec(nullptr, 4, &pool, 1);
-  under.max_parallel_members = 2;
-  RunResult parallel_run = RunGroup(&a, &ad, &at, {0, 1}, under);
-  EXPECT_GT(worker0->value(), worker_rows_before);
-  std::vector<size_t> first_two = {0, 1};
-  ExpectSameWire(RunGroup(&b, &bd, &bt, first_two, Exec(nullptr)),
-                 parallel_run);
-}
-
 /// Facade-level mirror under faults: two SnapshotSystems (cache on / off)
 /// driven identically through partitions, drops, and resumed retries must
 /// converge to identical snapshot contents, and the cached system must
